@@ -15,9 +15,8 @@
 //	-seed S         workload generation seed
 //	-methods LIST   comma-separated subset: caslt,gatekeeper,
 //	                gatekeeper-checked,naive,mutex
-//	-exec LIST      comma-separated execution modes: pool (one worker-pool
-//	                round per ParallelFor, the default), team (one
-//	                persistent parallel region per kernel) and/or trace
+//	-exec LIST      comma-separated execution modes: team (one persistent
+//	                parallel region per kernel, the default) and/or trace
 //	                (serial counting replay, for debugging); figures run
 //	                once per listed mode
 //	-balance LIST   comma-separated work-partitioning policies: vertex
@@ -41,20 +40,19 @@
 //	-v              log per-point progress to stderr
 //	-tiny           miniature smoke-test sweep
 //
-// The per-round fixed-cost microbenchmark behind the team mode:
+// The per-round fixed-cost microbenchmark:
 //
-//	-roundoverhead  measure ns per empty work-shared round for both
-//	                execution modes across the thread sweep; combinable
+//	-roundoverhead  measure ns per empty work-shared round inside a kernel
+//	                region across the thread sweep; combinable
 //	                with -figure N (use -figure 0 explicitly to also run
 //	                all figures)
 //	-edgebalance    run the load-balance sweep: the CAS-LT BFS variants
 //	                (sweep, frontier, pull, hybrid) on an RMAT and a star
-//	                graph under both balance policies and both execution
-//	                modes, reporting wall medians plus the deterministic
-//	                work model; combinable like -roundoverhead
+//	                graph under both balance policies, reporting wall
+//	                medians plus the deterministic work model; combinable
+//	                like -roundoverhead
 //	-listrank       time Wyllie's list ranking (the EREW comparison kernel)
-//	                across the size sweep under both timed execution modes;
-//	                combinable like -roundoverhead
+//	                across the size sweep; combinable like -roundoverhead
 //	-stealing       run the scheduling-policy sweep: frontier and hybrid
 //	                BFS on an RMAT and a degree-uniform graph across every
 //	                policy and the StealThreads axis, reporting wall
@@ -128,14 +126,14 @@
 //	-run SEL        run one registered kernel under one full axis
 //	                assignment, e.g.
 //	                kernel=bfs,method=caslt,exec=team,balance=edge,threads=4;
-//	                unset axes keep the sweep defaults (pool exec, CAS-LT
+//	                unset axes keep the sweep defaults (team exec, CAS-LT
 //	                where supported, block policy, -threads workers); runs
 //	                nothing else
 //
 // Adversarial robustness (the chaos layer; never a timing figure):
 //
 //	-chaos SPEC     run the registry-wide chaos matrix: every kernel ×
-//	                method × pool/team × block/stealing × seed under
+//	                method × team × block/stealing × seed under
 //	                deterministic schedule faults, byte-compared against
 //	                unperturbed references with the runtime CW invariant
 //	                checker attached; SPEC is
@@ -167,7 +165,7 @@
 //	crcwbench -figure 5
 //	crcwbench -figure 10 -threads 8 -reps 5 -csv fig10.csv
 //	crcwbench -paper -figure 7
-//	crcwbench -figure 7 -exec pool,team -json bench.json
+//	crcwbench -figure 7 -exec team -json bench.json
 //	crcwbench -figure 7 -policy stealing -methods caslt
 //	crcwbench -roundoverhead
 //	crcwbench -edgebalance -threads 8 -json BENCH_edgebalance.json
@@ -177,7 +175,7 @@
 //	crcwbench -stealing -cpuprofile steal.prof
 //	crcwbench -locality -json BENCH_locality.json
 //	crcwbench -locality -relabel none,degree -threads 8
-//	crcwbench -tiny -metrics -exec pool,team -metricsjson metrics.json
+//	crcwbench -tiny -metrics -exec team -metricsjson metrics.json
 //	crcwbench -overhead -json BENCH_metrics_overhead.json
 //	crcwbench -locality -trace timeline.json -httpaddr :6060
 //	crcwbench -run kernel=bfs-hybrid,exec=team -trace out.json -runtimetrace rt.out
@@ -229,13 +227,13 @@ func run(args []string) (err error) {
 		csvPath       = fs.String("csv", "", "also write raw medians as CSV to this file")
 		verbose       = fs.Bool("v", false, "log per-point progress to stderr")
 		tiny          = fs.Bool("tiny", false, "miniature sweep for smoke tests (seconds, shapes not meaningful)")
-		execList      = fs.String("exec", "pool", "comma-separated execution modes to measure: pool, team and/or trace")
+		execList      = fs.String("exec", "team", "comma-separated execution modes to measure: team and/or trace")
 		balanceList   = fs.String("balance", "vertex", "comma-separated work-partitioning policies for the BFS figures: vertex and/or edge")
 		policyName    = fs.String("policy", "", "machine loop-scheduling policy for the figure and listrank sweeps: block, cyclic, dynamic, guided or stealing (empty = block)")
 		jsonPath      = fs.String("json", "", "write machine-readable results as JSON to this file")
-		roundoverhead = fs.Bool("roundoverhead", false, "measure ns per empty round for both execution modes across the thread sweep")
+		roundoverhead = fs.Bool("roundoverhead", false, "measure ns per empty round across the thread sweep")
 		edgebalance   = fs.Bool("edgebalance", false, "run the BFS load-balance sweep (balance x kernel x exec) with the deterministic work model")
-		listrankSweep = fs.Bool("listrank", false, "time Wyllie's list ranking across the size sweep under both timed execution modes")
+		listrankSweep = fs.Bool("listrank", false, "time Wyllie's list ranking across the size sweep")
 		stealingSweep = fs.Bool("stealing", false, "run the scheduling-policy sweep (kernel x policy x threads on RMAT and uniform graphs) with the deterministic scheduling model and live deque counters")
 		localitySweep = fs.Bool("locality", false, "run the memory-layout sweep (kernel x repr x relabel x threads on an RMAT graph) with the deterministic cache-line-touch model")
 		relabelList   = fs.String("relabel", "", "comma-separated CSR relabeling modes for the locality sweep: none, degree and/or bfs (empty = all)")
@@ -547,8 +545,7 @@ func run(args []string) (err error) {
 	}
 
 	if *edgebalance {
-		// Like -roundoverhead, the sweep is itself a pool-vs-team
-		// comparison, so it always measures both modes.
+		// Like -roundoverhead, the sweep measures every timed mode.
 		infos, rows, err := bench.EdgeBalance(cfg, nil)
 		if err != nil {
 			return err
@@ -561,7 +558,6 @@ func run(args []string) (err error) {
 	}
 
 	if *listrankSweep {
-		// Also a pool-vs-team comparison by construction.
 		rows, err := bench.ListRank(cfg, nil)
 		if err != nil {
 			return err
@@ -706,7 +702,7 @@ func runChaos(w io.Writer, threads int, spec string, verbose bool) error {
 	if err := kernel.DifferentialChaos(kernel.Default, threads, s.Seeds, s.Faults); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "chaos matrix ok: %d kernels x methods x {pool, team} x {block, stealing} x %d seeds, faults=%s, threads=%d\n",
+	fmt.Fprintf(w, "chaos matrix ok: %d kernels x methods x {team} x {block, stealing} x %d seeds, faults=%s, threads=%d\n",
 		len(kernel.All()), len(s.Seeds), s.Faults, threads)
 	return nil
 }

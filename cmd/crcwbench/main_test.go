@@ -116,13 +116,13 @@ func TestRunMethodFilter(t *testing.T) {
 func TestRunExecAxisJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	out, err := capture(t, func() error {
-		return run([]string{"-tiny", "-figure", "7", "-exec", "pool,team",
+		return run([]string{"-tiny", "-figure", "7", "-exec", "team,trace",
 			"-methods", "caslt", "-reps", "1", "-json", path})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "pool exec") || !strings.Contains(out, "team exec") {
+	if !strings.Contains(out, "team exec") || !strings.Contains(out, "trace exec") {
 		t.Fatalf("expected one fig7 table per exec mode:\n%s", out)
 	}
 	data, err := os.ReadFile(path)
@@ -150,8 +150,8 @@ func TestRunExecAxisJSON(t *testing.T) {
 		}
 		execs[r.Exec]++
 	}
-	if execs["pool"] == 0 || execs["team"] == 0 || execs["pool"] != execs["team"] {
-		t.Fatalf("want equal pool and team row counts, got %v", execs)
+	if execs["team"] == 0 || execs["trace"] == 0 || execs["team"] != execs["trace"] {
+		t.Fatalf("want equal team and trace row counts, got %v", execs)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestRunRoundOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"roundoverhead", "pool/team"} {
+	for _, want := range []string{"roundoverhead", "team"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -418,7 +418,7 @@ func TestListGolden(t *testing.T) {
 // and report; an illegal one must fail with a diagnostic naming the axis.
 func TestRunSelectorFlag(t *testing.T) {
 	good := map[string]string{
-		"kernel=maxfind,exec=pool,method=gatekeeper":               "median",
+		"kernel=maxfind,method=gatekeeper":                         "median",
 		"kernel=bfs,method=caslt,exec=team,balance=edge,threads=4": "depth",
 		"kernel=bfs-frontier,repr=bitmap,policy=stealing":          "policy=stealing",
 		"kernel=listrank,exec=trace":                               "trace replay",
@@ -436,6 +436,7 @@ func TestRunSelectorFlag(t *testing.T) {
 	}
 	bad := map[string]string{
 		"kernel=bfs,method=bogus":    "method",
+		"kernel=maxfind,exec=pool":   "exec",
 		"kernel=nope":                "unknown kernel",
 		"kernel=maxfind,repr=bitmap": "no repr axis",
 		"kernel=bfs,threads=zero":    "threads",
@@ -459,6 +460,7 @@ func TestRunErrors(t *testing.T) {
 		{"-figure", "13"},
 		{"-methods", "bogus"},
 		{"-exec", "bogus"},
+		{"-exec", "pool"},
 		{"-balance", "bogus"},
 		{"-policy", "bogus"},
 		{"-relabel", "bogus"},

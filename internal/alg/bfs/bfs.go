@@ -287,8 +287,8 @@ func (k *Kernel) Trace() *exec.TraceStats { return k.trace }
 // gateReset adds the gatekeeper's O(N) re-initialization pass between
 // levels, inside the timed region as in Figure 3(b). Returns the depth
 // (max finite level). The per-level convergence word is the region's
-// rotating Flag; each level is one round under every backend (pool closes
-// it with the loop's own join, team with the sense barrier).
+// rotating Flag; each level is one round, closed by the sense barrier
+// (counted under trace).
 func (k *Kernel) runLevels(e machine.Exec, sweep func(lo, hi, w int, L, round uint32, sh *metrics.Shard) bool, gateReset bool) uint32 {
 	if k.balance == graph.BalanceEdge {
 		k.ensureArcBounds() // allocate outside the region

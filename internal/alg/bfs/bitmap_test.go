@@ -3,13 +3,12 @@ package bfs
 import (
 	"testing"
 
-	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
 
 // TestBitmapVariantsMatchWord is the bit-packed twin of
 // TestPullHybridMatchPush: pull, hybrid and frontier with SetBitmap(true),
-// pool and team, both balances, P in {1,2,4,8}, checked level-for-level
+// both balances, P in {1,2,4,8}, checked level-for-level
 // against the word-representation CAS-LT push result and the sequential
 // baseline. The representations must be output-identical by construction.
 func TestBitmapVariantsMatchWord(t *testing.T) {
@@ -25,18 +24,15 @@ func TestBitmapVariantsMatchWord(t *testing.T) {
 				push.Level = pushLevels
 				k.SetBitmap(true)
 				runs := map[string]func() Result{
-					"pull-pool":     k.RunCASLTPull,
-					"pull-team":     func() Result { return k.RunCASLTPullExec(machine.ExecTeam) },
-					"hybrid-pool":   k.RunCASLTHybrid,
-					"hybrid-team":   func() Result { return k.RunCASLTHybridExec(machine.ExecTeam) },
-					"frontier-pool": k.RunCASLTFrontier,
-					"frontier-team": func() Result { return k.RunCASLTFrontierExec(machine.ExecTeam) },
+					"pull":     k.RunCASLTPull,
+					"hybrid":   k.RunCASLTHybrid,
+					"frontier": k.RunCASLTFrontier,
 				}
 				for kind, run := range runs {
 					k.Prepare(0)
 					r := run()
 					tag := name + "/" + bal.String() + "/bitmap-" + kind
-					if kind == "frontier-pool" || kind == "frontier-team" {
+					if kind == "frontier" {
 						// Frontier is push-only: the strict validator applies.
 						if err := Validate(g, 0, r, true); err != nil {
 							t.Fatalf("%s: %v", tag, err)

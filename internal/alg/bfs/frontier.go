@@ -21,7 +21,7 @@ import (
 // CW method cost; the ablation benchmark compares the two formulations.
 //
 // The level loop is one SPMD body over exec.Ctx: the offset scan runs in a
-// Single (one worker between barriers under team, inline under pool), and
+// Single (one worker between barriers under team, inline under trace), and
 // a level costs three region rounds — relax, single, copy — under every
 // backend. Under edge balance the frontier itself is re-sharded every
 // level: the frontier vertices' degrees are block-scanned in-region (two

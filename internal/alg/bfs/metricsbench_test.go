@@ -30,7 +30,7 @@ func BenchmarkMetricsOverheadBFS(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.Prepare(0)
-				k.RunCASLTExec(machine.ExecPool)
+				k.RunCASLTExec(machine.ExecTeam)
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func checkPullResult(t *testing.T, g *graph.Graph, source uint32, r Result, push
 }
 
 // TestPullHybridMatchPush is the full cross-validation matrix: pull and
-// hybrid, pool and team, vertex and edge balance, P in {1,2,4,8}, against
+// hybrid, vertex and edge balance, P in {1,2,4,8}, against
 // the CAS-LT push result and the sequential baseline. It runs under -short
 // and -race as well — the pull path's exclusive writes and the hybrid's
 // direction switches are exactly what the race detector should see.
@@ -55,10 +55,8 @@ func TestPullHybridMatchPush(t *testing.T) {
 				pushLevels := append([]uint32(nil), push.Level...)
 				push.Level = pushLevels
 				runs := map[string]func() Result{
-					"pull-pool":   k.RunCASLTPull,
-					"pull-team":   func() Result { return k.RunCASLTPullExec(machine.ExecTeam) },
-					"hybrid-pool": k.RunCASLTHybrid,
-					"hybrid-team": func() Result { return k.RunCASLTHybridExec(machine.ExecTeam) },
+					"pull":   k.RunCASLTPull,
+					"hybrid": k.RunCASLTHybrid,
 				}
 				for kind, run := range runs {
 					k.Prepare(0)
@@ -93,9 +91,8 @@ func TestPullHybridNonZeroSource(t *testing.T) {
 			pushLevels := append([]uint32(nil), push.Level...)
 			push.Level = pushLevels
 			for kind, run := range map[string]func() Result{
-				"pull-pool":   k.RunCASLTPull,
-				"hybrid-pool": k.RunCASLTHybrid,
-				"hybrid-team": func() Result { return k.RunCASLTHybridExec(machine.ExecTeam) },
+				"pull":   k.RunCASLTPull,
+				"hybrid": k.RunCASLTHybrid,
 			} {
 				k.Prepare(tc.src)
 				r := run()

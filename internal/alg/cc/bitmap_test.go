@@ -16,7 +16,7 @@ func TestRandMateBitmapMatchesUnionFind(t *testing.T) {
 		for name, g := range testGraphs() {
 			k := NewKernel(m, g)
 			k.SetBitmap(true)
-			for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam} {
+			for _, e := range machine.Execs {
 				k.Prepare()
 				r := k.RunRandMateExec(e, 12345)
 				if err := Validate(g, r); err != nil {

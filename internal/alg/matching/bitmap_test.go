@@ -21,7 +21,7 @@ func TestBitmapProducesMaximalMatching(t *testing.T) {
 		for name, g := range graphs {
 			k := NewKernel(m, g)
 			k.SetBitmap(true)
-			for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam} {
+			for _, e := range machine.Execs {
 				for seed := uint64(0); seed < 3; seed++ {
 					k.Prepare()
 					if err := Validate(g, k.RunExec(e, seed)); err != nil {

@@ -11,8 +11,7 @@ import (
 // motivates: EREW/CREW-style maximum algorithms with better work bounds
 // than the W(N²) constant-time kernel, for studying the work/depth vs.
 // concurrency trade-off on real machines. All three run over exec.Ctx, so
-// they execute under the pool, team, and trace backends like the main
-// kernel.
+// they execute under the team and trace backends like the main kernel.
 
 // TournamentMax returns the index of the maximum via a balanced binary
 // tournament under the machine's default execution backend: D(log N)
@@ -187,12 +186,11 @@ func allPairsMax(ctx exec.Ctx, s *dlScratch, list []uint32, cand []uint32) uint3
 		return cand[0]
 	}
 	// One worker refills the shared scratch; the Single's closing barrier
-	// publishes it to the team before anyone claims.
+	// publishes it to the team before anyone claims. The flags are fresh
+	// per combine: a slow peer may still be scanning the previous
+	// combine's flags when worker 0 runs this Single.
 	ctx.Single(func() {
-		if cap(s.alive) < k {
-			s.alive = make([]uint32, k)
-		}
-		s.alive = s.alive[:k]
+		s.alive = make([]uint32, k)
 		for i := range s.alive {
 			s.alive[i] = 1
 		}

@@ -78,7 +78,7 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 	// Both the arc-source precompute and every select phase walk each
 	// vertex's whole adjacency list, so they are sharded by arcs
 	// (graph.ArcBounds), not vertices; the shards are static for the
-	// kernel's lifetime and shared by the pool and team drivers.
+	// kernel's lifetime and shared by every backend.
 	k.arcBounds = graph.ArcBounds(g, m.P())
 	offsets := g.Offsets()
 	m.ParallelBounds(k.arcBounds, func(lo, hi, _ int) {

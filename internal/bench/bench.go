@@ -55,9 +55,9 @@ type Config struct {
 	// Methods are the concurrent-write methods to compare; defaults to
 	// the paper's set for the figure at hand.
 	Methods []cw.Method
-	// Exec selects how kernels drive the machine: machine.ExecPool (one
-	// pool round per ParallelFor, the default) or machine.ExecTeam (one
-	// persistent parallel region per kernel).
+	// Exec selects how kernels drive the machine: machine.ExecTeam (one
+	// persistent parallel region per kernel, the default) or
+	// machine.ExecTrace (the serial counting replay).
 	Exec machine.Exec
 
 	// MaxSizes is the list-size x-axis of Figure 5.

@@ -18,8 +18,8 @@ import (
 // -balance axis: the four CAS-LT BFS formulations (full sweep, explicit
 // frontier, pure bottom-up, direction-optimizing hybrid) on two
 // skewed-degree workloads — an RMAT power-law graph and the star, the
-// maximal-straggler input — under both partitioning policies and both
-// execution modes. Each cell reports the median wall time *and* the
+// maximal-straggler input — under both partitioning policies and every
+// timed execution mode. Each cell reports the median wall time *and* the
 // deterministic work model (see workmodel.go): on a host with fewer cores
 // than workers the wall clock cannot see the straggler that vertex
 // balancing creates, while WorkCrit/Imbalance expose it exactly.
@@ -121,8 +121,8 @@ func EdgeBalance(cfg Config, execs []machine.Exec) ([]EdgeBalanceGraph, []EdgeBa
 }
 
 // FormatEdgeBalance renders one table per workload: a (kernel, balance)
-// line with both execution modes' wall medians side by side and the work
-// model's critical path, ideal, and imbalance.
+// line with each timed execution mode's wall median and the work model's
+// critical path, ideal, and imbalance.
 func FormatEdgeBalance(w io.Writer, infos []EdgeBalanceGraph, rows []EdgeBalanceRow) error {
 	var b strings.Builder
 	ms := func(ns float64) string {
@@ -134,10 +134,14 @@ func FormatEdgeBalance(w io.Writer, infos []EdgeBalanceGraph, rows []EdgeBalance
 		}
 		fmt.Fprintf(&b, "== edgebalance: %s source=%d ==\n", info.Name, info.Source)
 		fmt.Fprintf(&b, "   %s\n", info.Stats)
-		table := [][]string{{"kernel", "balance", "pool(ms)", "team(ms)", "crit", "ideal", "imbal", "depth"}}
+		header := []string{"kernel", "balance"}
+		for _, e := range machine.Execs {
+			header = append(header, e.String()+"(ms)")
+		}
+		table := [][]string{append(header, "crit", "ideal", "imbal", "depth")}
 		for _, kernel := range ebKernels {
 			for _, bal := range graph.Balances {
-				var pool, team float64
+				wall := map[string]float64{}
 				var m WorkModel
 				found := false
 				for _, r := range rows {
@@ -146,25 +150,21 @@ func FormatEdgeBalance(w io.Writer, infos []EdgeBalanceGraph, rows []EdgeBalance
 					}
 					found = true
 					m = r.Model
-					if r.Exec == "team" {
-						team = r.NsOp
-					} else {
-						pool = r.NsOp
-					}
+					wall[r.Exec] = r.NsOp
 				}
 				if !found {
 					continue
 				}
-				table = append(table, []string{
-					kernel,
-					bal.String(),
-					ms(pool),
-					ms(team),
+				line := []string{kernel, bal.String()}
+				for _, e := range machine.Execs {
+					line = append(line, ms(wall[e.String()]))
+				}
+				table = append(table, append(line,
 					strconv.FormatUint(m.Crit, 10),
 					strconv.FormatUint(m.Ideal, 10),
 					strconv.FormatFloat(m.Imbalance(), 'f', 2, 64),
 					strconv.Itoa(m.Depth),
-				})
+				))
 			}
 		}
 		writeAligned(&b, table)

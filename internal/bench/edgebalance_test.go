@@ -191,13 +191,13 @@ func TestValidateJSONRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"not json":       "bogus",
 		"empty":          "[]",
-		"trailing":       `[{"bench":"b","exec":"pool","threads":1,"ns_op":1}] 7`,
-		"no bench":       `[{"exec":"pool","threads":1,"ns_op":1}]`,
+		"trailing":       `[{"bench":"b","exec":"team","threads":1,"ns_op":1}] 7`,
+		"no bench":       `[{"exec":"team","threads":1,"ns_op":1}]`,
 		"bad exec":       `[{"bench":"b","exec":"omp","threads":1,"ns_op":1}]`,
-		"zero threads":   `[{"bench":"b","exec":"pool","ns_op":1}]`,
-		"zero ns":        `[{"bench":"b","exec":"pool","threads":1}]`,
-		"eb no graph":    `[{"bench":"edgebalance","exec":"pool","threads":1,"ns_op":1}]`,
-		"eb model order": `[{"bench":"edgebalance","exec":"pool","threads":1,"ns_op":1,"graph":"g","balance":"edge","work_total":1,"work_crit":2,"work_ideal":3,"imbalance":1}]`,
+		"zero threads":   `[{"bench":"b","exec":"team","ns_op":1}]`,
+		"zero ns":        `[{"bench":"b","exec":"team","threads":1}]`,
+		"eb no graph":    `[{"bench":"edgebalance","exec":"team","threads":1,"ns_op":1}]`,
+		"eb model order": `[{"bench":"edgebalance","exec":"team","threads":1,"ns_op":1,"graph":"g","balance":"edge","work_total":1,"work_crit":2,"work_ideal":3,"imbalance":1}]`,
 	}
 	for name, text := range cases {
 		if _, err := ValidateJSON(strings.NewReader(text)); err == nil {

@@ -18,7 +18,7 @@ type Row struct {
 	Figure  string  `json:"figure,omitempty"` // e.g. "fig7"
 	Kernel  string  `json:"kernel,omitempty"` // "maxfind", "bfs", "cc", ...
 	Method  string  `json:"method,omitempty"` // concurrent-write method
-	Exec    string  `json:"exec"`             // execution mode: pool | team | trace
+	Exec    string  `json:"exec"`             // execution mode: team | trace
 	Threads int     `json:"threads"`          // worker count of the point
 	XLabel  string  `json:"x_label,omitempty"`
 	X       int     `json:"x,omitempty"`

@@ -213,7 +213,7 @@ func FormatKernelTraces(w io.Writer, vertices, edges int, rows []KernelTraceRow)
 	}
 	writeAligned(&b, out)
 	b.WriteString("\nsteps are work-shared loops; barriers are the synchronizations a timed\n" +
-		"backend would execute (pool: fork/join steps; team: sense barriers).\n" +
+		"backend would execute (team: one sense barrier each).\n" +
 		"iter max / p vs iter total / p² is the unit-cost load imbalance.\n")
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -15,7 +15,7 @@ import (
 // The list-ranking sweep is the EREW comparison point the paper's
 // conclusion proposes: Wyllie's pointer jumping uses no concurrent writes
 // at all, so its cost is pure round structure — D(log N) rounds of W(N)
-// work — making it the cleanest probe of the execution backends' per-round
+// work — making it the cleanest probe of the execution backend's per-round
 // overhead on a kernel that actually moves data (unlike the empty-round
 // sweep). Each cell times RankExec on a random single list under one
 // backend; every result is validated against the sequential baseline.
@@ -64,8 +64,8 @@ func ListRank(cfg Config, execs []machine.Exec) ([]ListRankRow, error) {
 	return rows, nil
 }
 
-// FormatListRank renders the sweep as one row per list size with both
-// timed modes side by side and the pool/team ratio.
+// FormatListRank renders the sweep as one row per list size with one
+// column per timed execution mode.
 func FormatListRank(w io.Writer, threads int, rows []ListRankRow) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== listrank: Wyllie pointer jumping, ns per run (p=%d) ==\n", threads)
@@ -78,21 +78,21 @@ func FormatListRank(w io.Writer, threads int, rows []ListRankRow) error {
 		}
 		byN[r.N][r.Exec] = r.NsOp
 	}
-	ms := func(v float64) string { return strconv.FormatFloat(v/1e6, 'f', 3, 64) }
-	table := [][]string{{"n", "pool(ms)", "team(ms)", "pool/team"}}
+	header := []string{"n"}
+	for _, e := range machine.Execs {
+		header = append(header, e.String()+"(ms)")
+	}
+	table := [][]string{header}
 	for _, n := range ns {
-		pool, team := byN[n]["pool"], byN[n]["team"]
-		ratio := "-"
-		if team > 0 && pool > 0 {
-			ratio = strconv.FormatFloat(pool/team, 'f', 2, 64) + "x"
+		line := []string{strconv.Itoa(n)}
+		for _, e := range machine.Execs {
+			line = append(line, strconv.FormatFloat(byN[n][e.String()]/1e6, 'f', 3, 64))
 		}
-		table = append(table, []string{
-			strconv.Itoa(n), ms(pool), ms(team), ratio,
-		})
+		table = append(table, line)
 	}
 	writeAligned(&b, table)
-	b.WriteString("\nlist ranking is EREW — zero concurrent writes — so the pool/team gap\n" +
-		"here is the per-round synchronization cost on a real data-moving kernel.\n")
+	b.WriteString("\nlist ranking is EREW — zero concurrent writes — so its time is the\n" +
+		"per-round synchronization cost plus the data movement of a real kernel.\n")
 	_, err := io.WriteString(w, b.String())
 	return err
 }

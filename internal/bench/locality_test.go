@@ -55,7 +55,7 @@ func TestLocalityModelDeterministic(t *testing.T) {
 // grid, the JSON conversion and the validator round trip.
 func TestLocalitySweep(t *testing.T) {
 	cfg := TinyConfig()
-	rows, err := Locality(cfg, machine.ExecPool)
+	rows, err := Locality(cfg, machine.ExecTeam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLocalitySweep(t *testing.T) {
 // branch: each malformed row must fail with a distinctive error.
 func TestValidateJSONLocalityRejects(t *testing.T) {
 	base := Row{
-		Bench: "locality", Kernel: "bfs-pull", Method: "fetch-or", Exec: "pool",
+		Bench: "locality", Kernel: "bfs-pull", Method: "fetch-or", Exec: "team",
 		Threads: 2, NsOp: 100, Graph: "rmat8", Repr: "bitmap", Relabel: "none",
 		LineTouches: 10, LineTouchesWord: 100,
 	}

@@ -19,7 +19,7 @@ func TestContentionSweep(t *testing.T) {
 		edges    = 1200
 		seed     = 7
 	)
-	execs := []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace}
+	execs := []machine.Exec{machine.ExecTeam, machine.ExecTrace}
 	rows, err := Contention(kernel.Default, threads, vertices, edges, seed, execs)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,8 @@ func TestContentionSweep(t *testing.T) {
 			perExec += len(contentionRunMethods(d))
 		}
 	}
-	want := 2*perExec + 2
+	timed := len(machine.Execs)
+	want := timed*perExec + timed
 	if len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
@@ -57,7 +58,7 @@ func TestContentionSweep(t *testing.T) {
 				r.Kernel, r.Method, r.Exec, r.Snap)
 		}
 	}
-	if stealingRows != 2 {
+	if stealingRows != timed {
 		t.Fatalf("got %d stealing metrics rows, want one per timed exec", stealingRows)
 	}
 	for _, r := range rows {
@@ -111,19 +112,19 @@ func TestValidateJSONMetricsBranch(t *testing.T) {
 	bad := map[string]string{
 		"trace exec": `[{"bench":"metrics","exec":"trace","threads":2,"kernel":"bfs",
 			"cas_attempts":5,"cas_wins":5,"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"carries ns_op": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"bfs","ns_op":9,
+		"carries ns_op": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"bfs","ns_op":9,
 			"cas_attempts":5,"cas_wins":5,"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"no kernel": `[{"bench":"metrics","exec":"pool","threads":2,
+		"no kernel": `[{"bench":"metrics","exec":"team","threads":2,
 			"cas_attempts":5,"cas_wins":5,"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"attempts mismatch": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"bfs",
+		"attempts mismatch": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"bfs",
 			"cas_attempts":5,"cas_wins":3,"cas_losses":1,"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"listrank with counters": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"listrank",
+		"listrank with counters": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"listrank",
 			"cas_attempts":1,"cas_wins":1,"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"guarded without attempts": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"bfs",
+		"guarded without attempts": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"bfs",
 			"busy_ns":1,"round_ns":1,"rounds":3}]`,
-		"no time split": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"bfs",
+		"no time split": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"bfs",
 			"cas_attempts":5,"cas_wins":5,"rounds":3}]`,
-		"no rounds": `[{"bench":"metrics","exec":"pool","threads":2,"kernel":"bfs",
+		"no rounds": `[{"bench":"metrics","exec":"team","threads":2,"kernel":"bfs",
 			"cas_attempts":5,"cas_wins":5,"busy_ns":1,"round_ns":1}]`,
 	}
 	for name, text := range bad {
@@ -135,7 +136,7 @@ func TestValidateJSONMetricsBranch(t *testing.T) {
 		{"bench":"metrics","exec":"team","threads":2,"kernel":"cc","method":"caslt",
 		 "cas_attempts":7,"cas_wins":5,"cas_losses":2,"precheck_skips":40,
 		 "max_cell_claims":2,"busy_ns":100,"barrier_wait_ns":20,"round_ns":120,"rounds":6},
-		{"bench":"metrics","exec":"pool","threads":2,"kernel":"listrank",
+		{"bench":"metrics","exec":"team","threads":2,"kernel":"listrank",
 		 "busy_ns":100,"round_ns":120,"rounds":9}
 	]`
 	if n, err := ValidateJSON(strings.NewReader(good)); err != nil || n != 2 {

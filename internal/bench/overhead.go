@@ -24,6 +24,7 @@ type ObsOverheadRow struct {
 	Variant string
 	Kernel  string
 	Method  string
+	Exec    string
 	P       int
 	NsOp    float64
 }
@@ -33,8 +34,8 @@ var obsVariants = []string{"off", "metrics", "evtrace"}
 
 // ObservabilityOverhead times a full CAS-LT BFS run (the kernel-level
 // overhead witness the old text baseline used) under each
-// instrumentation variant at p = 1 and p = cfg.Threads, pool exec,
-// median of cfg.Reps repetitions with preparation untimed and
+// instrumentation variant at p = 1 and p = cfg.Threads on the machine's
+// default backend, median of cfg.Reps repetitions with preparation untimed and
 // validation outside the timed region. Unlike the contention sweep no
 // probe is attached — these rows ARE timings, and their whole point is
 // that the three variants stay within noise of each other.
@@ -48,7 +49,6 @@ func ObservabilityOverhead(cfg Config) ([]ObsOverheadRow, error) {
 	if !d.SupportsMethod(method) && len(d.Methods) > 0 {
 		method = d.Methods[0]
 	}
-	s := kernel.Settings{Exec: machine.ExecPool, Method: method}
 	w := countWorkload(d, cfg.BFSVertices, cfg.BFSEdges, cfg.Seed)
 	ps := []int{1, cfg.Threads}
 	if cfg.Threads <= 1 {
@@ -65,6 +65,7 @@ func ObservabilityOverhead(cfg Config) ([]ObsOverheadRow, error) {
 				opts = append(opts, machine.WithEventTrace(evtrace.New(p, evtrace.DefaultCap)))
 			}
 			m := machine.New(p, opts...)
+			s := kernel.Settings{Exec: m.Exec(), Method: method}
 			inst := d.New(m, w)
 			sample := sweep.Time(cfg.Reps, func() {
 				inst.Prepare(s)
@@ -81,6 +82,7 @@ func ObservabilityOverhead(cfg Config) ([]ObsOverheadRow, error) {
 				Variant: variant,
 				Kernel:  d.Name,
 				Method:  method.String(),
+				Exec:    m.Exec().String(),
 				P:       p,
 				NsOp:    float64(sample.Median().Nanoseconds()),
 			})
@@ -139,7 +141,7 @@ func ObsOverheadJSONRows(rows []ObsOverheadRow) []Row {
 			Bench:   "metricsoverhead",
 			Kernel:  r.Kernel,
 			Method:  r.Method,
-			Exec:    machine.ExecPool.String(),
+			Exec:    r.Exec,
 			Threads: r.P,
 			Variant: r.Variant,
 			NsOp:    r.NsOp,

@@ -10,16 +10,14 @@ import (
 	"crcwpram/internal/core/machine"
 )
 
-// This file measures the fixed cost of one PRAM round under both execution
-// modes — the quantity the team mode exists to reduce. An empty-body round
-// is pure synchronization: the pool path pays two (P+1)-party barrier
-// phases plus a step descriptor per round; the team path pays one P-party
-// team barrier inside a region entered once. Both modes run the identical
-// SPMD body through exec.Run, so the measured gap is exactly the backend
-// difference the -exec axis selects, including the unified layer's own
-// dispatch cost. The same measurement is available as
-// BenchmarkRoundOverhead in the machine package; this variant feeds the
-// CLI's tables and JSON trajectory.
+// This file measures the fixed cost of one empty PRAM round inside a
+// kernel region — the quantity that sets the floor of every round-heavy
+// kernel. An empty-body round is pure synchronization: one P-party team
+// barrier inside a region entered once. The body runs through exec.Run,
+// so the measurement includes the unified layer's own dispatch cost. The
+// same measurement is available as BenchmarkRoundOverhead in the machine
+// package, next to the cost of a round paid as a one-loop region
+// (ParallelFor); this variant feeds the CLI's tables and JSON trajectory.
 
 // OverheadRow is one measured (P, exec) cell of the round-overhead sweep.
 type OverheadRow struct {
@@ -29,8 +27,8 @@ type OverheadRow struct {
 }
 
 // RoundOverhead measures the median wall time of an empty work-shared
-// round, in nanoseconds, for every worker count in ps under both execution
-// modes. Each measurement times `rounds` consecutive empty rounds and is
+// round, in nanoseconds, for every worker count in ps under each timed
+// execution mode. Each measurement times `rounds` consecutive empty rounds and is
 // repeated reps times.
 func RoundOverhead(ps []int, rounds, reps int, log io.Writer) []OverheadRow {
 	if rounds <= 0 {
@@ -75,8 +73,7 @@ func RoundOverhead(ps []int, rounds, reps int, log io.Writer) []OverheadRow {
 }
 
 // FormatRoundOverhead renders the sweep as one row per worker count with
-// both modes side by side and the pool/team ratio (how many times cheaper a
-// team round is).
+// one column per timed execution mode.
 func FormatRoundOverhead(w io.Writer, rows []OverheadRow) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== roundoverhead: ns per empty work-shared round ==\n")
@@ -89,19 +86,17 @@ func FormatRoundOverhead(w io.Writer, rows []OverheadRow) error {
 		}
 		byP[r.P][r.Exec] = r.NsPerRound
 	}
-	table := [][]string{{"p", "pool", "team", "pool/team"}}
+	header := []string{"p"}
+	for _, e := range machine.Execs {
+		header = append(header, e.String())
+	}
+	table := [][]string{header}
 	for _, p := range ps {
-		pool, team := byP[p]["pool"], byP[p]["team"]
-		ratio := "-"
-		if team > 0 {
-			ratio = strconv.FormatFloat(pool/team, 'f', 2, 64) + "x"
+		line := []string{strconv.Itoa(p)}
+		for _, e := range machine.Execs {
+			line = append(line, strconv.FormatFloat(byP[p][e.String()], 'f', 1, 64))
 		}
-		table = append(table, []string{
-			strconv.Itoa(p),
-			strconv.FormatFloat(pool, 'f', 1, 64),
-			strconv.FormatFloat(team, 'f', 1, 64),
-			ratio,
-		})
+		table = append(table, line)
 	}
 	writeAligned(&b, table)
 	_, err := io.WriteString(w, b.String())

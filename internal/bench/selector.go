@@ -34,7 +34,7 @@ type SelectorResult struct {
 // executes it once: timed (prepare untimed, median of cfg.Reps runs,
 // validation outside the timed region) for the timed backends, or as a
 // counted trace replay for exec=trace. Unset axes keep the sweep defaults
-// (pool exec, CAS-LT where supported, block policy, cfg.Threads workers).
+// (team exec, CAS-LT where supported, block policy, cfg.Threads workers).
 func RunSelector(reg *kernel.Registry, cfg Config, selStr string) (*SelectorResult, error) {
 	cfg = cfg.withDefaults()
 	d, sel, err := reg.ParseSelector(selStr)

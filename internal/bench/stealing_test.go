@@ -95,7 +95,7 @@ func TestStealingSweep(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.StealScale = 7
 	cfg.StealThreads = []int{2, 4}
-	rows, err := Stealing(cfg, machine.ExecPool)
+	rows, err := Stealing(cfg, machine.ExecTeam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStealingSweep(t *testing.T) {
 // TestValidateJSONStealingBranch exercises the stealing-specific rejects.
 func TestValidateJSONStealingBranch(t *testing.T) {
 	base := Row{Bench: "stealing", Kernel: "bfs-frontier", Method: "caslt",
-		Exec: "pool", Threads: 4, NsOp: 100, Graph: "rmat7", Policy: "stealing",
+		Exec: "team", Threads: 4, NsOp: 100, Graph: "rmat7", Policy: "stealing",
 		WorkTotal: 1000, WorkCrit: 400, WorkIdeal: 300, Imbalance: 1.33,
 		ChunksLocal: 10, Steals: 2}
 	check := func(mutate func(*Row), wantErr string) {

@@ -21,7 +21,7 @@
 // exactly that, with the metrics.Checker watching the invariants live.
 //
 // Wiring: machine.WithChaos(inj) attaches an injector to a machine; the
-// exec package then wraps the pool and team backends' Ctx so every
+// exec package then wraps the team backend's Ctx so every
 // work-shared loop passes through the injector, and the metrics layer
 // calls the injector's OnClaim hook (it implements metrics.ClaimHook)
 // after every recorded winner-selection attempt. The sticky-loser fault

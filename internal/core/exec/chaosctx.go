@@ -16,9 +16,9 @@ import (
 //
 // The wrapper is pure scheduling perturbation — it forwards every value
 // and every body unchanged — so a kernel body cannot observe it except
-// through timing. Run installs it around the pool and team contexts when
-// the machine carries an injector; the trace backend is never wrapped
-// (its serial replay has no schedule to perturb).
+// through timing. Run installs it around the team context when the
+// machine carries an injector; the trace backend is never wrapped (its
+// serial replay has no schedule to perturb).
 type chaosCtx struct {
 	inner Ctx
 	inj   *chaos.Injector

@@ -1,21 +1,20 @@
 // Package exec presents one kernel-facing execution context over the
-// machine's backends, so every PRAM kernel is written exactly once.
+// machine, so every PRAM kernel is written exactly once.
 //
 // A CRCW PRAM kernel is a sequence of lock-step rounds: work-shared loops
 // separated by synchronization points, with the occasional serial section
-// and convergence flag in between. The machine package offers two ways to
-// run that shape — pool mode (one fork/join step per loop, driven from the
-// caller) and team mode (one persistent parallel region per kernel,
-// SPMD-style) — and this package adds a third, trace, which replays the
-// kernel serially while counting its structure. Ctx abstracts over all
-// three: a kernel body written against Ctx runs unmodified under each
-// backend, dispatched by Run on a machine.Exec value.
+// and convergence flag in between. The machine runs that shape as one
+// persistent parallel region per kernel, SPMD-style (team), and this
+// package adds a second backend, trace, which replays the kernel serially
+// while counting its structure. Ctx abstracts over both: a kernel body
+// written against Ctx runs unmodified under each backend, dispatched by
+// Run on a machine.Exec value.
 //
-// The body is SPMD code under every backend. Under team it literally runs
-// once per worker; under pool and trace it runs once on the caller, which
-// behaves like the team's worker 0 (Worker() == 0, Single inline, Barrier
-// where team mode would place one). The discipline is therefore the team
-// one: control flow feeding a Ctx primitive — loop trip counts, break
+// The body is SPMD code under both backends. Under team it literally runs
+// once per worker; under trace it runs once on the caller, which behaves
+// like the team's worker 0 (Worker() == 0, Single inline, Barrier counted
+// where team mode places one). The discipline is therefore the team one:
+// control flow feeding a Ctx primitive — loop trip counts, break
 // decisions, round ids — must be computed identically by every worker,
 // from worker-local deterministic state or from shared state read after a
 // barrier. Per-worker scratch flows through the loop-body worker argument
@@ -24,11 +23,6 @@
 //
 // Barrier semantics per backend:
 //
-//   - pool: every For/Range/Bounds call is a complete fork/join step with
-//     its own closing barrier, so an explicit Barrier() is a no-op — the
-//     PRAM round boundary the paper requires after a concurrent write is
-//     already paid by the step split. Single runs inline on the caller
-//     while the workers are parked, which is the same serial section.
 //   - team: For/Range/Bounds end in one real sense barrier (TeamCtx
 //     semantics), Barrier() is that barrier alone, and Single elects
 //     worker 0 with a closing barrier.
@@ -56,8 +50,8 @@ type Ctx interface {
 	// P returns the number of workers sharing each loop (logical workers
 	// under trace).
 	P() int
-	// Worker returns this SPMD copy's worker id. Under pool and trace the
-	// single body acts as worker 0. Use it only to elect one worker for
+	// Worker returns this SPMD copy's worker id. Under trace the single
+	// body acts as worker 0. Use it only to elect one worker for
 	// result capture; per-iteration worker ids come from the loop bodies.
 	Worker() int
 	// For executes one work-shared PRAM round: body(i) for every i in
@@ -84,9 +78,8 @@ type Ctx interface {
 	// block partition and stays deterministic.
 	StealRange(n int, body func(lo, hi, w int))
 	// Barrier closes the current PRAM round: no dependent read proceeds
-	// until every write of the round is visible. Under pool it is free
-	// (each loop already closed its step); under team it is one sense
-	// barrier.
+	// until every write of the round is visible. Under team it is one
+	// sense barrier; under trace it is counted.
 	Barrier()
 	// Single executes f on exactly one worker, with f's writes visible to
 	// the whole team after Single returns.
@@ -108,19 +101,32 @@ type Ctx interface {
 }
 
 // Flag is a rotating convergence flag for round loops, usable under every
-// backend. It is the exec-layer twin of machine.TeamFlag: one shared word
-// per round — primed before the round, written during it, read after its
-// closing barrier — with three rotating slots (indexed round mod 3) so a
-// prime for round r+1 can never race a slow peer's read for round r-1.
-// The protocol is
+// backend: the race-free, barrier-free way for a region to decide when its
+// round loop has converged.
+//
+// A round loop needs one shared word per round — "did anything change?" —
+// that is primed before the round, written during it, and read after it to
+// decide termination. Inside one region the priming is the subtle part: a
+// worker that primes the flag for round r while a slow peer is still
+// reading it for round r-1 would corrupt the peer's break decision. Three
+// rotating slots (indexed round mod 3) make the pattern safe with no extra
+// barrier, provided each round ends with at least one barrier and the
+// calls follow the round structure:
 //
 //	Set(r+1, primeValue)  at the top of round r (any or all workers);
 //	Set(r,   seenValue)   during round r's work-shared loops;
 //	Get(r)                after round r's closing barrier.
 //
-// See machine.TeamFlag for the three-slot sufficiency argument. Under
-// pool and trace the rotation is unnecessary but harmless; using one
-// protocol everywhere keeps kernel bodies backend-agnostic.
+// Why three slots suffice: slot (r+1)%3 equals slot (r-2)%3, and its last
+// reader — Get(r-2) — ran before that worker arrived at round r-1's
+// closing barrier, which every worker passes before priming at the top of
+// round r. Writes for round r+1 begin only after round r's barrier, after
+// all primes. Two slots would put the prime and the previous read in the
+// same unsynchronized window; three separates every conflicting pair by a
+// barrier. All accesses are atomic, so concurrent primes/sets of the same
+// value (the common-CW idiom) are race-detector clean. Under trace the
+// rotation is unnecessary but harmless; using one protocol everywhere
+// keeps kernel bodies backend-agnostic.
 type Flag struct {
 	slots [3]atomic.Uint32
 }
@@ -132,11 +138,13 @@ func (f *Flag) Set(r, v uint32) { f.slots[r%3].Store(v) }
 // Get loads round r's slot. Call it only after round r's closing barrier.
 func (f *Flag) Get(r uint32) uint32 { return f.slots[r%3].Load() }
 
-// Run executes body under the backend selected by e: pool (fork/join
-// steps), team (one persistent parallel region), or trace (serial
-// counting replay). It returns the trace statistics for ExecTrace and nil
-// otherwise.
+// Run executes body under the backend selected by e: team (one
+// persistent parallel region) or trace (serial counting replay). It
+// returns the trace statistics for ExecTrace and nil otherwise.
 func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
+	if m.Closed() {
+		panic("exec: use after Close")
+	}
 	// A machine whose event-trace recorder opts into runtime/trace gets
 	// the whole kernel execution wrapped in a runtime/trace task, so `go
 	// tool trace` groups the workers' per-round regions under one task
@@ -149,27 +157,23 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 	// The region's one shared Flag: allocated here, before the SPMD split,
 	// so every worker's Flag() call observes the same word.
 	flag := new(Flag)
-	// A machine carrying a chaos injector gets its timed backends wrapped
-	// in the fault-delivering context; the trace backend stays bare (a
-	// serial replay has no schedule to perturb).
-	wrap := func(c Ctx) Ctx {
-		if inj := m.Chaos(); inj != nil {
-			return &chaosCtx{inner: c, inj: inj}
-		}
-		return c
-	}
 	switch e {
-	case machine.ExecTeam:
-		m.Team(func(tc *machine.TeamCtx) {
-			body(wrap(&teamCtx{tc: tc, flag: flag, rec: m.Metrics()}))
-		})
-		return nil
 	case machine.ExecTrace:
 		st := &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}
 		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, stats: st})
 		return st
 	default:
-		body(wrap(&poolCtx{m: m, flag: flag, rec: m.Metrics()}))
+		// A machine carrying a chaos injector gets the team context
+		// wrapped in the fault-delivering one; the trace backend stays
+		// bare (a serial replay has no schedule to perturb).
+		inj := m.Chaos()
+		m.Team(func(tc *machine.TeamCtx) {
+			var c Ctx = &teamCtx{tc: tc, flag: flag, rec: m.Metrics()}
+			if inj != nil {
+				c = &chaosCtx{inner: c, inj: inj}
+			}
+			body(c)
+		})
 		return nil
 	}
 }

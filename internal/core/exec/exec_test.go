@@ -57,12 +57,15 @@ func sumBody(n int, out *int64) func(Ctx) {
 	}
 }
 
-// TestBackendsAgree runs the same body under pool, team, and trace and
-// expects identical results.
+// backends is every execution backend, the untimed trace replay included.
+var backends = []machine.Exec{machine.ExecTeam, machine.ExecTrace}
+
+// TestBackendsAgree runs the same body under team and trace and expects
+// identical results.
 func TestBackendsAgree(t *testing.T) {
 	for _, p := range []int{1, 3, 4} {
 		m := machine.New(p)
-		for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace} {
+		for _, e := range backends {
 			const n = 37
 			var got int64
 			st := Run(m, e, sumBody(n, &got))
@@ -129,7 +132,7 @@ func TestTraceCounts(t *testing.T) {
 func TestWorkerIds(t *testing.T) {
 	m := machine.New(3)
 	defer m.Close()
-	for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace} {
+	for _, e := range backends {
 		var seen [3]atomic.Uint32
 		var zeroes atomic.Uint32
 		Run(m, e, func(ctx Ctx) {
@@ -158,7 +161,7 @@ func TestWorkerIds(t *testing.T) {
 func TestPanicPropagates(t *testing.T) {
 	m := machine.New(4)
 	defer m.Close()
-	for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace} {
+	for _, e := range backends {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -177,6 +180,61 @@ func TestPanicPropagates(t *testing.T) {
 		Run(m, e, sumBody(5, &ok))
 		if ok != 40 {
 			t.Errorf("exec=%v: machine unusable after panic (sum=%d)", e, ok)
+		}
+	}
+}
+
+// TestFlagConvergenceLoop drives the rotating-flag pattern under every
+// backend: a countdown loop where every worker must observe the same
+// number of rounds, repeated to shake out races in the three-slot
+// rotation.
+func TestFlagConvergenceLoop(t *testing.T) {
+	m := machine.New(4)
+	defer m.Close()
+	const n = 256
+	for _, e := range backends {
+		for rep := 0; rep < 50; rep++ {
+			work := make([]uint32, n)
+			for i := range work {
+				work[i] = uint32(3 + rep%5)
+			}
+			roundsSeen := make([]uint32, m.P())
+			Run(m, e, func(ctx Ctx) {
+				// A fresh flag reads 0 ("changed") in every slot, so round 0
+				// needs no prime.
+				done := ctx.Flag()
+				r := uint32(0)
+				for {
+					done.Set(r+1, 1) // prime next round (common CW)
+					ctx.Range(n, func(lo, hi, _ int) {
+						progress := false
+						for i := lo; i < hi; i++ {
+							if work[i] > 0 {
+								work[i]--
+								progress = true
+							}
+						}
+						if progress {
+							done.Set(r, 0)
+						}
+					})
+					if done.Get(r) == 1 {
+						roundsSeen[ctx.Worker()] = r
+						break
+					}
+					r++
+				}
+			})
+			want := uint32(3 + rep%5)
+			for w, r := range roundsSeen {
+				// Under trace only the single body (worker 0) runs.
+				if e == machine.ExecTrace && w > 0 {
+					break
+				}
+				if r != want {
+					t.Fatalf("exec=%v rep %d: worker %d exited at round %d, want %d", e, rep, w, r, want)
+				}
+			}
 		}
 	}
 }

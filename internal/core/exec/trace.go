@@ -20,8 +20,7 @@ type TraceStats struct {
 	Steps int
 	// Barriers counts synchronization points: the implicit barrier closing
 	// each work-shared loop, each explicit Barrier(), and the barrier
-	// closing each Single. Under pool mode each would be a step join;
-	// under team mode each would be one sense barrier.
+	// closing each Single. Under team mode each is one sense barrier.
 	Barriers int
 	// Singles counts serial sections.
 	Singles int
@@ -55,8 +54,8 @@ func (st *TraceStats) TotalIters() uint64 {
 }
 
 // traceCtx replays the kernel serially on the caller with P logical
-// workers: every loop is partitioned exactly as the Block pool/team
-// backends would partition it, the shares run in worker order, and the
+// workers: every loop is partitioned exactly as the Block team backend
+// would partition it, the shares run in worker order, and the
 // structure (steps, barriers, singles, per-worker iterations) is counted
 // instead of synchronized. The replay is deterministic — logical worker w
 // always runs before w+1 — so traced results double as a reference

@@ -7,27 +7,25 @@
 // are recovered on an asynchronous shared-memory machine by (1) work-sharing
 // each round's virtual processors over the physical workers and (2) placing
 // a synchronization barrier between a round and anything that depends on it.
-// Machine provides exactly that: ParallelFor runs one round — n virtual
-// processors over P workers with an implicit barrier at the end — and an
-// internal monotone round counter supplies the round ids consumed by the cw
-// package's CAS-LT cells.
+// Machine provides exactly that, and an internal monotone round counter
+// supplies the round ids consumed by the cw package's CAS-LT cells.
 //
-// The pool is persistent: workers are started once and parked on a reusable
-// barrier between rounds, so a round costs two barrier phases rather than P
-// goroutine spawns, mirroring an OpenMP parallel region with an active wait
-// policy (the configuration the paper measures).
-//
-// Two execution modes drive the pool. ParallelFor/ParallelRange run one
-// round per call, re-entering the pool from the caller each time. Team runs
-// a whole kernel inside one persistent parallel region — the exact shape of
-// the paper's OpenMP listings, at one team barrier per round instead of two
-// pool phases — see team.go.
+// The workers are persistent: they are started once and parked on a
+// reusable barrier between regions, mirroring an OpenMP parallel region with
+// an active wait policy (the configuration the paper measures). Every piece
+// of parallel work runs as a team region (team.go): Team runs a whole kernel
+// inside one region — the exact shape of the paper's OpenMP listings, at one
+// team barrier per round — and ParallelFor/ParallelRange/ParallelBounds/
+// ParallelSteal are one-loop regions whose closing barrier is the region's
+// end phase. A one-worker machine starts no worker at all: the caller is the
+// whole team.
 package machine
 
 import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,17 +44,20 @@ type Machine struct {
 	policy  sched.Policy
 	chunk   int
 	barKind barrier.Kind
-	bar     barrier.Barrier
+	// bar is the caller-inclusive (P+1)-party barrier whose start and end
+	// phases bracket every region; nil on a one-worker machine.
+	bar barrier.Barrier
 
-	// step is the work descriptor for the round in flight. It is written
-	// by the caller before the start barrier and read by workers after it;
-	// the barrier provides the happens-before edge.
+	// step is the descriptor of the region in flight. It is written by the
+	// caller before the start barrier and read by workers after it; the
+	// barrier provides the happens-before edge.
 	step stepDesc
 
-	// Team-region state (team.go): the worker-only barrier, the one
-	// pre-allocated cursor shared by all dynamic/guided team loops, the
-	// ticket/ready words of its per-loop reset protocol, and the abort
-	// flag a panicking team body raises.
+	// Team-region state (team.go): one padded context per worker, the
+	// worker-only barrier, the one pre-allocated cursor shared by all
+	// dynamic/guided team loops, the ticket/ready words of its per-loop
+	// reset protocol, and the abort flag a panicking team body raises.
+	tcs         []TeamCtx
 	teamBar     *teamBarrier
 	teamCur     *sched.Cursor
 	teamTicket  atomic.Uint64
@@ -64,9 +65,9 @@ type Machine struct {
 	teamAborted atomic.Bool
 
 	// steal is the one pre-allocated work-stealing deque set shared by all
-	// stealing loops (the sched.Stealing policy and ParallelSteal). Like
-	// teamCur it is reset per loop, never per machine: caller-side under
-	// the pool backend, via the team ticket protocol in-region.
+	// stealing loops (the sched.Stealing policy, ParallelSteal and
+	// TeamCtx.Steal). Like teamCur it is reset per loop through the team
+	// ticket protocol, never per machine.
 	steal *sched.Stealer
 
 	// rec is the live-metrics recorder, nil unless WithMetrics was given.
@@ -81,32 +82,25 @@ type Machine struct {
 
 	// evt is the event-trace flight recorder, nil unless WithEventTrace
 	// was given. Like chaos it implies metrics: its span emission lives
-	// inside the instrumented step path behind the one `m.rec != nil`
+	// inside the instrumented region path behind the one `m.rec != nil`
 	// branch, so the tracing-off hot path is the metrics-off hot path.
 	evt *evtrace.Recorder
-	// stepSeq numbers the machine's pool steps and team regions for span
-	// round ids; advanced only when evt is attached.
+	// stepSeq numbers the machine's regions for span round ids; advanced
+	// only when evt is attached.
 	stepSeq uint32
 
 	exec   Exec
 	round  uint32
 	closed bool
+	// exited counts the worker goroutines still running; Close waits on it.
+	exited sync.WaitGroup
 }
 
 type stepDesc struct {
-	n      int
-	seq    uint32 // step sequence number for event-trace span round ids
-	body   func(i, w int)
-	ranged func(lo, hi, w int)
-	bounds []int // optional shard boundaries for ranged (ParallelBounds)
-	cursor *sched.Cursor
-	// stealer, when non-nil, makes workers drain the work-stealing deques
-	// instead of a static share or cursor: body (if set) runs per index,
-	// otherwise ranged runs per claimed chunk.
-	stealer *sched.Stealer
-	team    func(tc *TeamCtx)
-	quit    bool
-	panics  []any // one slot per worker, pre-sized; nil = no panic
+	region func(tc *TeamCtx)
+	seq    uint32 // region sequence number for event-trace span round ids
+	quit   bool
+	panics []any // one slot per worker, pre-sized; nil = no panic
 }
 
 // Option configures a Machine.
@@ -123,21 +117,21 @@ func WithChunk(c int) Option { return func(m *Machine) { m.chunk = c } }
 func WithBarrier(k barrier.Kind) Option { return func(m *Machine) { m.barKind = k } }
 
 // WithExec selects the machine's default execution backend (default
-// ExecPool). Kernels dispatched without an explicit backend — the plain
+// ExecTeam). Kernels dispatched without an explicit backend — the plain
 // Run entry points — use this choice via Exec().
 func WithExec(e Exec) Option { return func(m *Machine) { m.exec = e } }
 
 // WithMetrics enables live contention metrics: the machine allocates a
-// per-worker-sharded metrics.Recorder that the pool and team backends and
-// the instrumented kernels feed while running. Off by default; when off,
+// per-worker-sharded metrics.Recorder that the machine's regions and the
+// instrumented kernels feed while running. Off by default; when off,
 // Metrics() returns nil and the hot paths keep their uninstrumented cost
 // (BenchmarkMetricsOffOverhead pins this). Probed runs and timed runs
 // should be separate: see metrics.Recorder.EnableProbe.
 func WithMetrics() Option { return func(m *Machine) { m.rec = metrics.NewRecorder(m.p) } }
 
 // WithEventTrace attaches an event-trace flight recorder (see the
-// evtrace package at internal/core/trace): the pool and team backends
-// emit per-worker round, region, barrier-wait, and steal events into its
+// evtrace package at internal/core/trace): the machine's regions emit
+// per-worker round, region, barrier-wait, and steal events into its
 // ring buffers, and every recorded claim feeds its sampled claim stream
 // through the metrics claim hook. Event tracing implies metrics — a
 // machine built with WithEventTrace allocates a recorder even without
@@ -149,19 +143,20 @@ func WithMetrics() Option { return func(m *Machine) { m.rec = metrics.NewRecorde
 func WithEventTrace(r *evtrace.Recorder) Option { return func(m *Machine) { m.evt = r } }
 
 // WithChaos attaches a deterministic schedule-perturbation injector: the
-// pool and team execution backends deliver its faults at their
-// instrumented yield points (loop iterations, barrier arrivals, steal
-// chunk deliveries), and every recorded claim site drives its loss
-// perturbations through the metrics claim hook. Chaos implies metrics —
-// a machine built with WithChaos allocates a recorder even without
-// WithMetrics — because the claim sites are the metrics layer's. Faults
-// only burn time and yield, so a perturbed run of a deterministic kernel
-// must produce byte-identical results; kernel.DifferentialChaos enforces
-// that across the whole registry. Never time a chaos run.
+// team execution backend delivers its faults at its instrumented yield
+// points (loop iterations, barrier arrivals, steal chunk deliveries), and
+// every recorded claim site drives its loss perturbations through the
+// metrics claim hook. Chaos implies metrics — a machine built with
+// WithChaos allocates a recorder even without WithMetrics — because the
+// claim sites are the metrics layer's. Faults only burn time and yield,
+// so a perturbed run of a deterministic kernel must produce
+// byte-identical results; kernel.DifferentialChaos enforces that across
+// the whole registry. Never time a chaos run.
 func WithChaos(inj *chaos.Injector) Option { return func(m *Machine) { m.chaos = inj } }
 
 // New returns a Machine with p workers. p must be >= 1. The caller owns the
-// machine and must Close it to release the workers.
+// machine and must Close it to release the workers. A one-worker machine
+// runs everything on the caller and starts no goroutine.
 func New(p int, opts ...Option) *Machine {
 	if p < 1 {
 		panic("machine: p must be >= 1")
@@ -200,14 +195,22 @@ func New(p int, opts ...Option) *Machine {
 			m.rec.SetClaimHook(hooks)
 		}
 	}
-	// The caller participates in both barrier phases, so the party is p+1.
-	m.bar = barrier.New(m.barKind, p+1)
+	m.tcs = make([]TeamCtx, p)
+	for w := range m.tcs {
+		m.tcs[w] = TeamCtx{m: m, W: w}
+	}
 	m.teamBar = newTeamBarrier(p)
 	m.teamCur = sched.NewCursor(m.policy, 0, p, m.chunk)
 	m.steal = sched.NewStealer(p)
 	m.step.panics = make([]any, p)
-	for w := 0; w < p; w++ {
-		go m.worker(w)
+	if p > 1 {
+		// The caller participates in both barrier phases, so the party is
+		// p+1.
+		m.bar = barrier.New(m.barKind, p+1)
+		m.exited.Add(p)
+		for w := 0; w < p; w++ {
+			go m.worker(w)
+		}
 	}
 	return m
 }
@@ -226,6 +229,11 @@ func (m *Machine) Chunk() int { return m.chunk }
 // Exec returns the default execution backend chosen with WithExec.
 func (m *Machine) Exec() Exec { return m.exec }
 
+// Closed reports whether Close has been called. Layers that can run a
+// kernel without entering a region (the trace backend) check it to keep
+// the use-after-Close contract uniform.
+func (m *Machine) Closed() bool { return m.closed }
+
 // Metrics returns the machine's live-metrics recorder, or nil when the
 // machine was created without WithMetrics. The nil propagates through the
 // recorder's nil-safe methods, so callers thread it unconditionally.
@@ -242,7 +250,7 @@ func (m *Machine) Chaos() *chaos.Injector { return m.chaos }
 // unconditionally.
 func (m *Machine) Events() *evtrace.Recorder { return m.evt }
 
-// nextSeq advances the machine's step sequence for event-trace span
+// nextSeq advances the machine's region sequence for event-trace span
 // round ids. It stays zero with tracing off: the ids only label spans.
 func (m *Machine) nextSeq() uint32 {
 	if m.evt == nil {
@@ -272,15 +280,19 @@ func (m *Machine) NextRound() uint32 {
 // independent kernel executions whose cw arrays have been Reset.
 func (m *Machine) ResetRound() { m.round = 0 }
 
-// Close shuts the worker pool down. The machine must not be used after
-// Close.
+// Close shuts the workers down and returns once every worker goroutine
+// has exited. The machine must not be used after Close; a second Close is
+// a no-op.
 func (m *Machine) Close() {
 	if m.closed {
 		return
 	}
 	m.closed = true
-	m.step = stepDesc{quit: true}
-	m.bar.Wait(m.p) // start phase: release workers into the quit branch
+	if m.bar != nil {
+		m.step = stepDesc{quit: true}
+		m.bar.Wait(m.p) // start phase: release workers into the quit branch
+		m.exited.Wait()
+	}
 }
 
 // ParallelFor executes one PRAM round: body(i) for every i in [0, n),
@@ -288,42 +300,22 @@ func (m *Machine) Close() {
 // ParallelFor returns. The barrier is the synchronization point the paper
 // requires between a concurrent write and its dependent reads.
 //
-// body must be safe for concurrent invocation on distinct i.
+// The round is a one-loop team region: each worker runs its share and the
+// region's end phase is the closing barrier, so a call costs the region's
+// two (P+1)-party phases. body must be safe for concurrent invocation on
+// distinct i.
 func (m *Machine) ParallelFor(n int, body func(i int)) {
-	m.ParallelForWorker(n, func(i, _ int) { body(i) })
+	if n > 0 {
+		m.Team(func(tc *TeamCtx) { tc.forShare(n, body) })
+	}
 }
 
 // ParallelForWorker is ParallelFor with the executing worker's id (in
 // [0, P())) passed to the body, for per-worker accumulators.
 func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	if n > 0 {
+		m.Team(func(tc *TeamCtx) { tc.forShare(n, func(i int) { body(i, tc.W) }) })
 	}
-	if n <= 0 {
-		return
-	}
-	// Single worker: run inline; the pool would only add barrier latency.
-	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			runSerial(m.policy, m.chunk, n, body)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		runSerial(m.policy, m.chunk, n, body)
-		return
-	}
-	m.step = stepDesc{
-		n:       n,
-		seq:     m.nextSeq(),
-		body:    body,
-		cursor:  m.cursorFor(n),
-		stealer: m.stealerFor(n),
-		panics:  m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelSteal executes one PRAM round under work stealing regardless of
@@ -335,33 +327,9 @@ func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 // opt into stealing explicitly; regular loops should keep ParallelRange /
 // ParallelBounds. Implicit barrier on return, like every Parallel* round.
 func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	if n > 0 {
+		m.Team(func(tc *TeamCtx) { tc.stealShare(n, func(lo, hi int) { body(lo, hi, tc.W) }) })
 	}
-	if n <= 0 {
-		return
-	}
-	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(0, n, 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(0, n, 0)
-		return
-	}
-	m.steal.Reset(n, m.chunk)
-	m.step = stepDesc{
-		n:       n,
-		seq:     m.nextSeq(),
-		ranged:  body,
-		stealer: m.steal,
-		panics:  m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelRange executes one PRAM round in block form: each worker receives
@@ -369,31 +337,9 @@ func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 // re-initialization passes (e.g. the gatekeeper method's per-round reset)
 // and for per-worker reductions. The partitioning policy is always Block.
 func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	if n > 0 {
+		m.Team(func(tc *TeamCtx) { tc.rangeShare(n, func(lo, hi int) { body(lo, hi, tc.W) }) })
 	}
-	if n <= 0 {
-		return
-	}
-	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(0, n, 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(0, n, 0)
-		return
-	}
-	m.step = stepDesc{
-		n:      n,
-		seq:    m.nextSeq(),
-		ranged: body,
-		panics: m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelBounds executes one PRAM round in block form over caller-supplied
@@ -404,35 +350,12 @@ func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
 // work instead of count. len(bounds) must be P()+1 and bounds must be
 // non-decreasing; workers with an empty shard skip the body.
 func (m *Machine) ParallelBounds(bounds []int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
-	}
 	if len(bounds) != m.p+1 {
 		panic(fmt.Sprintf("machine: ParallelBounds: %d bounds for %d workers", len(bounds), m.p))
 	}
-	if bounds[m.p] <= bounds[0] {
-		return
+	if bounds[m.p] > bounds[0] {
+		m.Team(func(tc *TeamCtx) { tc.boundsShare(bounds, func(lo, hi int) { body(lo, hi, tc.W) }) })
 	}
-	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(bounds[0], bounds[1], 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(bounds[0], bounds[1], 0)
-		return
-	}
-	m.step = stepDesc{
-		n:      bounds[m.p],
-		seq:    m.nextSeq(),
-		ranged: body,
-		bounds: bounds,
-		panics: m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelFor2D executes body(i, j) for every pair in [0, n1) x [0, n2),
@@ -451,34 +374,9 @@ func (m *Machine) ParallelFor2D(n1, n2 int, body func(i, j int)) {
 	})
 }
 
-func (m *Machine) cursorFor(n int) *sched.Cursor {
-	if m.policy == sched.Dynamic || m.policy == sched.Guided {
-		return sched.NewCursor(m.policy, n, m.p, m.chunk)
-	}
-	return nil
-}
-
-// stealerFor resets and returns the machine's stealer when the configured
-// policy is Stealing, nil otherwise. Safe to reset caller-side: all claims
-// of the previous round happened before its end barrier, which the caller
-// passed before setting up this round.
-func (m *Machine) stealerFor(n int) *sched.Stealer {
-	if m.policy != sched.Stealing {
-		return nil
-	}
-	m.steal.Reset(n, m.chunk)
-	return m.steal
-}
-
-func (m *Machine) runStep() {
-	m.bar.Wait(m.p) // start phase: workers pick up m.step
-	m.bar.Wait(m.p) // end phase: all workers finished their shares
-	m.reraise()
-}
-
 // reraise re-raises the first recorded worker panic on the caller,
 // clearing every slot so a multi-worker panic cannot leak into the next
-// step.
+// region.
 func (m *Machine) reraise() {
 	var first any
 	for w := 0; w < m.p; w++ {
@@ -495,114 +393,50 @@ func (m *Machine) reraise() {
 }
 
 func (m *Machine) worker(id int) {
+	defer m.exited.Done()
 	for {
 		m.bar.Wait(id) // start phase
 		st := m.step
 		if st.quit {
 			return
 		}
-		// The per-machine metrics enable is this one branch: the entire
-		// instrumented step path (busy/barrier timing, pprof round-phase
-		// labels) lives behind it, so a machine without WithMetrics runs
-		// the loop below exactly as before.
-		if m.rec != nil {
-			m.runStepMetrics(st, id)
-			continue // runStepMetrics includes the end-phase wait
+		m.work(st, id)
+		if m.rec == nil {
+			m.bar.Wait(id) // end phase
+			continue
 		}
-		if st.team != nil {
-			m.runTeamShare(st, id)
-		} else {
-			m.runShare(st, id)
-		}
-		m.bar.Wait(id) // end phase
+		// The end-phase wait runs under a pprof "round-phase:
+		// barrier-wait" label, is credited as barrier wait, and becomes a
+		// barrier span. The start-phase wait is deliberately not counted:
+		// it measures the caller's serial sections, not the region.
+		pprof.Do(context.Background(), pprof.Labels("round-phase", "barrier-wait"), func(context.Context) {
+			a := m.evt.Worker(id).Begin(evtrace.KindBarrier, st.seq)
+			t0 := time.Now()
+			m.bar.Wait(id) // end phase
+			m.rec.Shard(id).AddBarrierWait(time.Since(t0))
+			a.End()
+		})
 	}
 }
 
-// runStepMetrics is worker id's instrumented step path. The share runs
-// under a pprof "round-phase: work" label with its wall time credited to
-// the worker's shard as busy time — minus, for team regions, the in-region
-// barrier waits that TeamCtx.Barrier credits separately — and the
-// end-phase pool wait runs under "round-phase: barrier-wait" and is
-// credited as barrier wait. The start-phase wait is deliberately not
-// counted: it measures the caller's serial sections, not the round.
-//
-// The event-trace spans ride the same two phases: the work share becomes
-// a per-worker round span (region span for team steps — the in-region
-// team loops emit their own nested round spans) and the end-phase wait a
-// barrier span. With tracing off the spans are nil-buffer no-ops, so the
-// path's enable stays the worker loop's single `m.rec != nil` branch.
-func (m *Machine) runStepMetrics(st stepDesc, id int) {
+// work runs worker id's copy of the region. The per-machine metrics
+// enable is its one branch: with metrics on, the copy runs under a pprof
+// "round-phase: work" label inside a per-worker region span, with its wall
+// time — minus the in-region barrier waits that TeamCtx.Barrier credits
+// separately — credited to the worker's shard as busy time. With tracing
+// off the spans are nil-buffer no-ops.
+func (m *Machine) work(st stepDesc, id int) {
+	if m.rec == nil {
+		m.runRegion(st, id)
+		return
+	}
 	sh := m.rec.Shard(id)
-	eb := m.evt.Worker(id)
 	pprof.Do(context.Background(), pprof.Labels("round-phase", "work"), func(context.Context) {
-		kind := evtrace.KindRound
-		if st.team != nil {
-			kind = evtrace.KindRegion
-		}
-		a := eb.Begin(kind, st.seq)
+		a := m.evt.Worker(id).Begin(evtrace.KindRegion, st.seq)
 		b0 := sh.BarrierWaitTotal()
 		t0 := time.Now()
-		if st.team != nil {
-			m.runTeamShare(st, id)
-		} else {
-			m.runShare(st, id)
-		}
+		m.runRegion(st, id)
 		sh.AddBusy(time.Since(t0) - (sh.BarrierWaitTotal() - b0))
 		a.End()
 	})
-	pprof.Do(context.Background(), pprof.Labels("round-phase", "barrier-wait"), func(context.Context) {
-		a := eb.Begin(evtrace.KindBarrier, st.seq)
-		t0 := time.Now()
-		m.bar.Wait(id) // end phase
-		sh.AddBarrierWait(time.Since(t0))
-		a.End()
-	})
-}
-
-// runShare executes worker id's share of the step, capturing panics so a
-// failing body cannot deadlock the pool at the end barrier.
-func (m *Machine) runShare(st stepDesc, id int) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			st.panics[id] = pv
-		}
-	}()
-	if st.stealer != nil {
-		var c sched.StealCounts
-		if st.body != nil {
-			c = st.stealer.Run(id, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					st.body(i, id)
-				}
-			})
-		} else {
-			c = st.stealer.Run(id, func(lo, hi int) { st.ranged(lo, hi, id) })
-		}
-		m.rec.Shard(id).AddSteal(c.Local, c.Steals, c.Fails)
-		m.evt.Worker(id).Point(evtrace.KindSteal, st.seq, evtrace.PackSteal(c.Local, c.Steals, c.Fails))
-		return
-	}
-	if st.ranged != nil {
-		var lo, hi int
-		if st.bounds != nil {
-			lo, hi = st.bounds[id], st.bounds[id+1]
-		} else {
-			lo, hi = sched.BlockRange(st.n, m.p, id)
-		}
-		if lo < hi {
-			st.ranged(lo, hi, id)
-		}
-		return
-	}
-	sched.For(m.policy, st.cursor, st.n, m.p, id, func(i int) {
-		st.body(i, id)
-	})
-}
-
-func runSerial(policy sched.Policy, chunk, n int, body func(i, w int)) {
-	cur := (*sched.Cursor)(nil)
-	if policy == sched.Dynamic || policy == sched.Guided {
-		cur = sched.NewCursor(policy, n, 1, chunk)
-	}
-	sched.For(policy, cur, n, 1, 0, func(i int) { body(i, 0) })
 }

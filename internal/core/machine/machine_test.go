@@ -159,11 +159,11 @@ func TestBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
 			}
 		})
 	}()
-	// The pool must still work after a body panic.
+	// The machine must still work after a body panic.
 	var n atomic.Int32
 	m.ParallelFor(50, func(i int) { n.Add(1) })
 	if n.Load() != 50 {
-		t.Fatalf("pool broken after panic: %d visits, want 50", n.Load())
+		t.Fatalf("machine broken after panic: %d visits, want 50", n.Load())
 	}
 }
 

@@ -1,24 +1,24 @@
-// Team execution mode: one persistent parallel region per kernel.
+// Team regions: the machine's one way to run work on its workers.
 //
-// ParallelFor re-enters the worker pool from the caller on every PRAM
-// round, which costs two (P+1)-party barrier phases, a fresh step
-// descriptor, and (for dynamic/guided policies) a cursor allocation per
-// round — plus any serial caller-side work between rounds runs with all P
-// workers parked. The paper's OpenMP kernels instead open a single
-// `#pragma omp parallel` region around the whole round loop (Figures 3-5)
-// and pay one team barrier per round. Team reproduces that shape: the
-// kernel body runs once on all P workers simultaneously, and the in-region
-// primitives on TeamCtx — For / ForWorker / Range (work-shared loop ending
-// in a team barrier), Single (one worker executes, the rest wait), and
-// Barrier — mirror `omp for`, `omp single` and `#pragma omp barrier`. Per
-// empty round the fixed cost drops from two (P+1)-party phases plus step
-// setup to one P-party phase.
+// The paper's OpenMP kernels open a single `#pragma omp parallel` region
+// around the whole round loop (Figures 3-5) and pay one team barrier per
+// round. Team reproduces that shape: the kernel body runs once on all P
+// workers simultaneously, and the in-region primitives on TeamCtx — For /
+// ForWorker / Range / Bounds / Steal (work-shared loop ending in a team
+// barrier), Single (one worker executes, the rest wait), and Barrier —
+// mirror `omp for`, `omp single` and `#pragma omp barrier`. Entering a
+// region costs the machine's two (P+1)-party phases; each round inside it
+// costs one P-party team barrier.
+//
+// The Parallel* entry points are one-loop regions: each worker runs its
+// share of the loop with no trailing team barrier, because the region's
+// end phase already joins the workers.
 //
 // A team body is SPMD code: every worker executes the same statements on
 // the same shared state, so control flow that feeds a team primitive
 // (loop trip counts, the n passed to For/Range, break decisions) must be
 // computed identically by all workers — either from worker-local
-// deterministic state or from shared state read after a barrier. TeamFlag
+// deterministic state or from shared state read after a barrier. exec.Flag
 // packages the standard convergence-flag pattern race-free.
 package machine
 
@@ -44,7 +44,7 @@ type teamAbort struct{}
 // caller is not a party: it waits at the machine's end phase). Unlike
 // barrier.Sense it is abortable: when a worker panics inside a team body it
 // can never arrive, so waiters poll the machine's abort flag and bail out
-// instead of deadlocking. After an aborted step the internal state is
+// instead of deadlocking. After an aborted region the internal state is
 // mid-phase garbage; the driver replaces the barrier wholesale.
 type teamBarrier struct {
 	parties int32
@@ -87,14 +87,17 @@ type TeamCtx struct {
 	// W is this worker's id in [0, P). Use it for worker-local scratch
 	// that lives across rounds without per-round closure captures.
 	W int
-	// epoch counts this worker's dynamic/guided work-shared loops, keying
-	// the shared cursor's reset protocol. All workers execute the same
-	// loop sequence, so their epochs agree.
+	// epoch counts this worker's dynamic/guided/stealing work-shared
+	// loops, keying the shared loop-state reset protocol. All workers
+	// execute the same loop sequence, so their epochs agree.
 	epoch uint64
 	// loops counts this worker's work-shared loops of every policy — the
 	// region-local round ids event-trace spans carry. Like epoch it
 	// advances identically in every SPMD copy.
 	loops uint32
+	// The machine keeps one TeamCtx per worker in a slice; pad each to its
+	// own cache lines so the per-loop counter updates never false-share.
+	_ [128 - 4*8]byte
 }
 
 // beginLoop advances the worker's loop counter and opens the loop's
@@ -109,7 +112,8 @@ func (tc *TeamCtx) P() int { return tc.m.p }
 
 // Barrier synchronizes the team: no worker proceeds until all have
 // arrived. It is the in-region synchronization point the paper requires
-// between a concurrent-write round and its dependent reads.
+// between a concurrent-write round and its dependent reads. A one-worker
+// team has nothing to wait for.
 func (tc *TeamCtx) Barrier() {
 	if tc.m.p == 1 {
 		return
@@ -140,31 +144,7 @@ func (tc *TeamCtx) Barrier() {
 // with a team barrier before For returns. All workers must call For with
 // the same n (SPMD discipline); bodies run concurrently on distinct i.
 func (tc *TeamCtx) For(n int, body func(i int)) {
-	m := tc.m
-	if m.p == 1 {
-		if n > 0 {
-			a := tc.beginLoop()
-			runSerial(m.policy, m.chunk, n, func(i, _ int) { body(i) })
-			a.End()
-		}
-		return
-	}
-	if n > 0 {
-		a := tc.beginLoop()
-		if m.policy == sched.Stealing {
-			st := tc.loopStealer(n)
-			c := st.Run(tc.W, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
-			})
-			m.rec.Shard(tc.W).AddSteal(c.Local, c.Steals, c.Fails)
-			m.evt.Worker(tc.W).Point(evtrace.KindSteal, tc.loops, evtrace.PackSteal(c.Local, c.Steals, c.Fails))
-		} else {
-			sched.For(m.policy, tc.loopCursor(n), n, m.p, tc.W, body)
-		}
-		a.End()
-	}
+	tc.forShare(n, body)
 	tc.Barrier()
 }
 
@@ -180,23 +160,7 @@ func (tc *TeamCtx) ForWorker(n int, body func(i, w int)) {
 // barrier. The partitioning is always Block, like ParallelRange. The
 // worker id is available as tc.W.
 func (tc *TeamCtx) Range(n int, body func(lo, hi int)) {
-	m := tc.m
-	if m.p == 1 {
-		if n > 0 {
-			a := tc.beginLoop()
-			body(0, n)
-			a.End()
-		}
-		return
-	}
-	if n > 0 {
-		a := tc.beginLoop()
-		lo, hi := sched.BlockRange(n, m.p, tc.W)
-		if lo < hi {
-			body(lo, hi)
-		}
-		a.End()
-	}
+	tc.rangeShare(n, body)
 	tc.Barrier()
 }
 
@@ -207,23 +171,10 @@ func (tc *TeamCtx) Range(n int, body func(lo, hi int)) {
 // discipline), with len(bounds) == P()+1 and non-decreasing entries; a
 // worker with an empty shard goes straight to the barrier.
 func (tc *TeamCtx) Bounds(bounds []int, body func(lo, hi int)) {
-	m := tc.m
-	if len(bounds) != m.p+1 {
+	if len(bounds) != tc.m.p+1 {
 		panic("machine: TeamCtx.Bounds: bounds length must be P()+1")
 	}
-	if m.p == 1 {
-		if bounds[0] < bounds[1] {
-			a := tc.beginLoop()
-			body(bounds[0], bounds[1])
-			a.End()
-		}
-		return
-	}
-	a := tc.beginLoop()
-	if lo, hi := bounds[tc.W], bounds[tc.W+1]; lo < hi {
-		body(lo, hi)
-	}
-	a.End()
+	tc.boundsShare(bounds, body)
 	tc.Barrier()
 }
 
@@ -234,23 +185,7 @@ func (tc *TeamCtx) Bounds(bounds []int, body func(lo, hi int)) {
 // order, then whatever it steals), followed by a team barrier. All workers
 // must call Steal with the same n (SPMD discipline).
 func (tc *TeamCtx) Steal(n int, body func(lo, hi int)) {
-	m := tc.m
-	if m.p == 1 {
-		if n > 0 {
-			a := tc.beginLoop()
-			body(0, n)
-			a.End()
-		}
-		return
-	}
-	if n > 0 {
-		a := tc.beginLoop()
-		st := tc.loopStealer(n)
-		c := st.Run(tc.W, body)
-		m.rec.Shard(tc.W).AddSteal(c.Local, c.Steals, c.Fails)
-		m.evt.Worker(tc.W).Point(evtrace.KindSteal, tc.loops, evtrace.PackSteal(c.Local, c.Steals, c.Fails))
-		a.End()
-	}
+	tc.stealShare(n, body)
 	tc.Barrier()
 }
 
@@ -260,71 +195,107 @@ func (tc *TeamCtx) Steal(n int, body func(lo, hi int)) {
 // published by a preceding For/Range/Barrier; f's writes are visible to
 // the whole team after Single returns.
 func (tc *TeamCtx) Single(f func()) {
-	if tc.m.p == 1 {
-		f()
-		return
-	}
 	if tc.W == 0 {
 		f()
 	}
 	tc.Barrier()
 }
 
-// loopCursor returns the machine's pre-allocated shared cursor, reset for
-// a fresh dynamic/guided loop over [0, n), or nil for static policies.
-// Exactly one worker per loop instance wins the reset ticket (a CAS from
-// epoch-1 to epoch), performs the reset, and publishes it through the
-// ready word; the rest spin until the reset is visible. All claims of the
-// previous loop happened before its closing barrier, which every worker
-// passed before entering this loop, so the reset can never race a stale
-// claim.
-func (tc *TeamCtx) loopCursor(n int) *sched.Cursor {
+// forShare runs this worker's share of a work-shared loop over [0, n)
+// under the machine's policy, without a closing barrier.
+func (tc *TeamCtx) forShare(n int, body func(i int)) {
+	if n <= 0 {
+		return
+	}
 	m := tc.m
-	if m.policy != sched.Dynamic && m.policy != sched.Guided {
-		return nil
-	}
-	tc.epoch++
-	e := tc.epoch
-	if m.teamTicket.CompareAndSwap(e-1, e) {
-		m.teamCur.Reset(n)
-		m.teamReady.Store(e)
-	} else {
-		for spins := 0; m.teamReady.Load() < e; spins++ {
-			if spins > teamSpins {
-				if m.teamAborted.Load() {
-					panic(teamAbort{})
-				}
-				runtime.Gosched()
+	a := tc.beginLoop()
+	switch m.policy {
+	case sched.Stealing:
+		tc.drainSteal(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				body(i)
 			}
-		}
+		})
+	case sched.Dynamic, sched.Guided:
+		tc.resetLoop(func() { m.teamCur.Reset(n) })
+		sched.For(m.policy, m.teamCur, n, m.p, tc.W, body)
+	default:
+		sched.For(m.policy, nil, n, m.p, tc.W, body)
 	}
-	return m.teamCur
+	a.End()
 }
 
-// loopStealer is loopCursor's work-stealing twin: exactly one worker per
-// stealing loop wins the reset ticket, seeds the machine's stealer for
-// [0, n), and publishes it through the ready word. It shares the epoch
-// sequence with loopCursor — a worker has one loop counter, and all
-// workers execute the same loop sequence, so the ticket words stay
-// consistent however cursor and stealing loops interleave.
-func (tc *TeamCtx) loopStealer(n int) *sched.Stealer {
+// rangeShare runs this worker's Block share of [0, n) once, without a
+// closing barrier; an empty share skips the body.
+func (tc *TeamCtx) rangeShare(n int, body func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	a := tc.beginLoop()
+	if lo, hi := sched.BlockRange(n, tc.m.p, tc.W); lo < hi {
+		body(lo, hi)
+	}
+	a.End()
+}
+
+// boundsShare runs this worker's caller-placed shard once, without a
+// closing barrier; an empty shard skips the body.
+func (tc *TeamCtx) boundsShare(bounds []int, body func(lo, hi int)) {
+	a := tc.beginLoop()
+	if lo, hi := bounds[tc.W], bounds[tc.W+1]; lo < hi {
+		body(lo, hi)
+	}
+	a.End()
+}
+
+// stealShare runs this worker's part of a stealing loop over [0, n),
+// without a closing barrier.
+func (tc *TeamCtx) stealShare(n int, body func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	a := tc.beginLoop()
+	tc.drainSteal(n, body)
+	a.End()
+}
+
+// drainSteal seeds the machine's stealer for [0, n) (once per loop, via
+// resetLoop), drains it from this worker, and records the chunk counts.
+func (tc *TeamCtx) drainSteal(n int, body func(lo, hi int)) {
+	m := tc.m
+	tc.resetLoop(func() { m.steal.Reset(n, m.chunk) })
+	c := m.steal.Run(tc.W, body)
+	m.rec.Shard(tc.W).AddSteal(c.Local, c.Steals, c.Fails)
+	m.evt.Worker(tc.W).Point(evtrace.KindSteal, tc.loops, evtrace.PackSteal(c.Local, c.Steals, c.Fails))
+}
+
+// resetLoop runs reset — the re-seeding of the machine's shared cursor or
+// stealer for a fresh loop — on exactly one worker per loop instance, and
+// returns on every worker only once it is visible. The winner takes the
+// loop's ticket (a CAS from epoch-1 to epoch) and publishes through the
+// ready word; the rest spin until the ready word reaches their epoch.
+// Cursor and stealing loops share the one epoch sequence: every worker
+// executes the same loop sequence, so the ticket words stay consistent
+// however the two kinds interleave. All claims of the previous loop
+// happened before its closing barrier, which every worker passed before
+// entering this loop, so the reset can never race a stale claim.
+func (tc *TeamCtx) resetLoop(reset func()) {
 	m := tc.m
 	tc.epoch++
 	e := tc.epoch
 	if m.teamTicket.CompareAndSwap(e-1, e) {
-		m.steal.Reset(n, m.chunk)
+		reset()
 		m.teamReady.Store(e)
-	} else {
-		for spins := 0; m.teamReady.Load() < e; spins++ {
-			if spins > teamSpins {
-				if m.teamAborted.Load() {
-					panic(teamAbort{})
-				}
-				runtime.Gosched()
+		return
+	}
+	for spins := 0; m.teamReady.Load() < e; spins++ {
+		if spins > teamSpins {
+			if m.teamAborted.Load() {
+				panic(teamAbort{})
 			}
+			runtime.Gosched()
 		}
 	}
-	return m.steal
 }
 
 // Team runs body once on all P workers simultaneously — one persistent
@@ -332,36 +303,28 @@ func (tc *TeamCtx) loopStealer(n int) *sched.Stealer {
 // blocks until every worker has returned from body. Rounds inside the
 // region are expressed with tc.For/tc.Range (implicit team barrier each)
 // and serial sections with tc.Single, so a whole kernel pays region entry
-// once instead of two pool barrier phases per round.
+// once. On a one-worker machine the caller is the team and runs body
+// inline.
 //
 // If a worker's body panics, the region is aborted: the remaining workers
 // bail at their next team synchronization point, the panic is re-raised on
-// the caller, and the machine remains usable. ParallelFor and Team calls
-// may be freely interleaved on one machine.
+// the caller, and the machine remains usable.
 func (m *Machine) Team(body func(tc *TeamCtx)) {
 	if m.closed {
 		panic("machine: use after Close")
 	}
-	if m.p == 1 {
-		// Single worker: the caller is the team. Barriers are no-ops.
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRegion, m.nextSeq())
-			t0 := time.Now()
-			body(&TeamCtx{m: m})
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(&TeamCtx{m: m})
-		return
-	}
 	// Fresh region: worker-local epochs restart at 0, so rewind the shared
-	// cursor protocol words. The start barrier publishes this to workers.
+	// loop-reset protocol words. The start barrier publishes this to
+	// workers.
 	m.teamTicket.Store(0)
 	m.teamReady.Store(0)
-	m.step = stepDesc{team: body, seq: m.nextSeq(), panics: m.step.panics}
-	m.bar.Wait(m.p) // start phase: workers pick up the region body
-	m.bar.Wait(m.p) // end phase: all workers have left the region
+	m.step = stepDesc{region: body, seq: m.nextSeq(), panics: m.step.panics}
+	if m.p == 1 {
+		m.work(m.step, 0)
+	} else {
+		m.bar.Wait(m.p) // start phase: workers pick up the region body
+		m.bar.Wait(m.p) // end phase: all workers have left the region
+	}
 	if m.teamAborted.Load() {
 		// The team barrier was abandoned mid-phase; replace it.
 		m.teamBar = newTeamBarrier(m.p)
@@ -370,11 +333,11 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 	m.reraise()
 }
 
-// runTeamShare executes worker id's copy of the region body, capturing
-// panics so a failing body cannot deadlock the pool: a user panic is
-// recorded and poisons the region (peers bail at their next barrier with a
-// teamAbort, which is swallowed here).
-func (m *Machine) runTeamShare(st stepDesc, id int) {
+// runRegion executes worker id's copy of the region body on its reset
+// context, capturing panics so a failing body cannot deadlock the
+// machine: a user panic is recorded and poisons the region (peers bail at
+// their next barrier with a teamAbort, which is swallowed here).
+func (m *Machine) runRegion(st stepDesc, id int) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			if _, bail := pv.(teamAbort); !bail {
@@ -383,74 +346,34 @@ func (m *Machine) runTeamShare(st stepDesc, id int) {
 			}
 		}
 	}()
-	st.team(&TeamCtx{m: m, W: id})
+	tc := &m.tcs[id]
+	tc.epoch, tc.loops = 0, 0
+	st.region(tc)
 }
 
-// TeamFlag is a rotating convergence flag for team-mode round loops: the
-// race-free, barrier-free replacement for the caller-owned atomic that
-// pool-mode kernels reset between rounds.
-//
-// A round loop needs one shared word per round — "did anything change?" —
-// that is primed before the round, written during it, and read after it to
-// decide termination. Inside one region the priming is the subtle part: a
-// worker that primes the flag for round r while a slow peer is still
-// reading it for round r-1 would corrupt the peer's break decision. Three
-// rotating slots (indexed round mod 3) make the pattern safe with no extra
-// barrier, provided each round ends with at least one team barrier and the
-// calls follow the round structure:
-//
-//	Set(r+1, primeValue)  at the top of round r (any or all workers);
-//	Set(r,   seenValue)   during round r's work-shared loops;
-//	Get(r)                after round r's closing barrier.
-//
-// Why three slots suffice: slot (r+1)%3 equals slot (r-2)%3, and its last
-// reader — Get(r-2) — ran before that worker arrived at round r-1's
-// closing barrier, which every worker passes before priming at the top of
-// round r. Writes for round r+1 begin only after round r's barrier, after
-// all primes. Two slots would put the prime and the previous read in the
-// same unsynchronized window; three separates every conflicting pair by a
-// barrier. All accesses are atomic, so concurrent primes/sets of the same
-// value (the common-CW idiom) are race-detector clean.
-type TeamFlag struct {
-	slots [3]atomic.Uint32
-}
-
-// Set stores v into round r's slot. Safe for concurrent use by all workers
-// when they store the same value (prime and progress-mark are both common
-// concurrent writes).
-func (f *TeamFlag) Set(r, v uint32) { f.slots[r%3].Store(v) }
-
-// Get loads round r's slot. Call it only after round r's closing barrier.
-func (f *TeamFlag) Get(r uint32) uint32 { return f.slots[r%3].Load() }
-
-// Exec selects how a kernel drives the machine: one pool round per
-// ParallelFor call, one persistent team region per kernel, or a serial
-// counting replay (trace).
+// Exec selects how a kernel drives the machine: one persistent team
+// region per kernel, or a serial counting replay (trace).
 type Exec int
 
 const (
-	// ExecPool re-enters the worker pool from the caller each round
-	// (ParallelFor / ParallelRange).
-	ExecPool Exec = iota
-	// ExecTeam runs the whole kernel inside one Team region.
-	ExecTeam
+	// ExecTeam runs the whole kernel inside one Team region. It is the
+	// zero value and every machine's default.
+	ExecTeam Exec = iota
 	// ExecTrace replays the kernel serially with P logical workers,
 	// counting steps, barriers, and per-worker iterations instead of
-	// using the pool (see internal/core/exec). It is an observability
+	// using the workers (see internal/core/exec). It is an observability
 	// mode, not a timed one, so Execs excludes it.
 	ExecTrace
 )
 
 // Execs lists the timed execution modes in presentation order. ExecTrace
 // is deliberately absent: its serial replay measures structure, not time.
-var Execs = []Exec{ExecPool, ExecTeam}
+var Execs = []Exec{ExecTeam}
 
-// String names the execution mode as the -exec flag spells it ("pool",
-// "team", "trace").
+// String names the execution mode as the -exec flag spells it ("team",
+// "trace").
 func (e Exec) String() string {
 	switch e {
-	case ExecPool:
-		return "pool"
 	case ExecTeam:
 		return "team"
 	case ExecTrace:
@@ -463,7 +386,7 @@ func (e Exec) String() string {
 // ParseExec converts an execution-mode name (as produced by String) back
 // to an Exec. It accepts every backend, including the untimed "trace".
 func ParseExec(s string) (Exec, bool) {
-	for _, e := range []Exec{ExecPool, ExecTeam, ExecTrace} {
+	for _, e := range []Exec{ExecTeam, ExecTrace} {
 		if e.String() == s {
 			return e, true
 		}

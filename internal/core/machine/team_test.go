@@ -141,56 +141,7 @@ func TestTeamDynamicCursorReuseAcrossRounds(t *testing.T) {
 	}
 }
 
-func TestTeamFlagConvergenceLoop(t *testing.T) {
-	// The rotating-flag pattern: a countdown loop where every worker must
-	// observe the same number of rounds, repeated to shake out races.
-	m := New(4)
-	defer m.Close()
-	const n = 256
-	for rep := 0; rep < 50; rep++ {
-		work := make([]uint32, n)
-		for i := range work {
-			work[i] = uint32(3 + rep%5)
-		}
-		var done TeamFlag
-		done.Set(0, 1)
-		roundsSeen := make([]uint32, m.P())
-		m.Team(func(tc *TeamCtx) {
-			r := uint32(0)
-			for {
-				done.Set(r+1, 1) // prime next round (common CW)
-				tc.Range(n, func(lo, hi int) {
-					progress := false
-					for i := lo; i < hi; i++ {
-						if work[i] > 0 {
-							work[i]--
-							progress = true
-						}
-					}
-					if progress {
-						done.Set(r, 0)
-					}
-				})
-				if done.Get(r) == 1 {
-					roundsSeen[tc.W] = r
-					break
-				}
-				r++
-			}
-		})
-		want := roundsSeen[0]
-		for w, r := range roundsSeen {
-			if r != want {
-				t.Fatalf("rep %d: worker %d exited at round %d, worker 0 at %d", rep, w, r, want)
-			}
-		}
-		if want != uint32(3+rep%5) {
-			t.Fatalf("rep %d: converged after %d rounds, want %d", rep, want, 3+rep%5)
-		}
-	}
-}
-
-// TestTeamBodyPanicPropagatesAndPoolSurvives mirrors the pool-path panic
+// TestTeamBodyPanicPropagatesAndPoolSurvives mirrors the ParallelFor panic
 // test: a panic on one worker inside a team body — while its peers are
 // parked at a team barrier — must re-raise on the caller and leave the
 // machine usable for both subsequent ParallelFor and Team calls.
@@ -215,11 +166,11 @@ func TestTeamBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
 			tc.For(100, func(i int) {})
 		})
 	}()
-	// The pool must still run pool rounds...
+	// The machine must still run one-loop regions...
 	var n atomic.Int32
 	m.ParallelFor(50, func(i int) { n.Add(1) })
 	if n.Load() != 50 {
-		t.Fatalf("pool broken after team panic: %d visits, want 50", n.Load())
+		t.Fatalf("ParallelFor broken after team panic: %d visits, want 50", n.Load())
 	}
 	// ...and fresh team regions, including their barriers.
 	var total atomic.Int64
@@ -321,17 +272,18 @@ func TestExecParseRoundTrip(t *testing.T) {
 }
 
 // BenchmarkRoundOverhead quantifies the fixed cost of one empty PRAM round
-// under both execution modes: pool pays two (P+1)-party barrier phases plus
-// a step descriptor per round; team pays one P-party team barrier inside a
-// region entered once. This is the microbenchmark behind the team mode's
-// reason to exist — at small per-round work the fixed cost dominates.
+// under both region shapes: a ParallelFor call is a one-loop region and
+// pays the region's two (P+1)-party phases per round; a round inside a
+// Team region entered once pays one P-party team barrier. At small
+// per-round work the fixed cost dominates, which is why kernels run as
+// one region each.
 func BenchmarkRoundOverhead(b *testing.B) {
 	ps := []int{1, 2, 4, 8}
 	if ncpu := runtime.NumCPU(); ncpu > 8 {
 		ps = append(ps, ncpu)
 	}
 	for _, p := range ps {
-		b.Run("exec=pool/p="+itoa(p), func(b *testing.B) {
+		b.Run("region=per-round/p="+itoa(p), func(b *testing.B) {
 			m := New(p)
 			defer m.Close()
 			b.ResetTimer()
@@ -339,7 +291,7 @@ func BenchmarkRoundOverhead(b *testing.B) {
 				m.ParallelFor(p, func(int) {})
 			}
 		})
-		b.Run("exec=team/p="+itoa(p), func(b *testing.B) {
+		b.Run("region=per-kernel/p="+itoa(p), func(b *testing.B) {
 			m := New(p)
 			defer m.Close()
 			b.ResetTimer()

@@ -1,5 +1,5 @@
 // Package metrics is the live-contention observability layer: per-worker
-// sharded counters that the pool and team execution backends and the
+// sharded counters that the machine's team regions and the
 // instrumented kernels feed while running at full speed, so the paper's
 // central contention claims — CAS-LT executes at most P read-modify-writes
 // per cell per round, late arrivals fail a plain-load pre-check — can be
@@ -163,9 +163,9 @@ func (s *Shard) BarrierWaitTotal() time.Duration {
 
 // Recorder aggregates the shards of one machine's workers plus the
 // coordinator-side counters (round wall time, round count). The
-// coordinator fields are written by exactly one goroutine per region — the
-// caller under the pool backend, worker 0 under the team backend — with
-// the machine's barriers ordering them against Snapshot.
+// coordinator fields are written by exactly one goroutine per region —
+// worker 0 of the team backend — with the machine's barriers ordering
+// them against Snapshot.
 type Recorder struct {
 	shards  []Shard
 	probe   *Probe

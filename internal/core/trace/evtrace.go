@@ -29,11 +29,13 @@
 // so the tracing-off hot path keeps the metrics discipline's single
 // `rec != nil` branch; BenchmarkEventTraceOffOverhead pins it.
 //
-// Span round ids follow the emitting layer: KindRound / KindRegion /
-// KindBarrier spans carry the machine's step sequence (pool) or the
-// region-local loop index (team), KindClaim points carry the cw round id
-// of the claim, and KindFault spans carry zero (fault schedules are not
-// round-aligned). The Timeline groups per-round summaries over KindRound
+// Span round ids follow the emitting layer: KindRegion spans and the
+// barrier spans of a region's end phase carry the machine's region
+// sequence; KindRound spans, in-region KindBarrier spans and KindSteal
+// points carry the region-local loop index (a Parallel* call is a
+// one-loop region, so its round span is loop 1); KindClaim points carry
+// the cw round id of the claim, and KindFault spans carry zero (fault
+// schedules are not round-aligned). The Timeline groups per-round summaries over KindRound
 // spans only, so the two id spaces never mix.
 //
 // The live counters (wins, losses, rounds, event totals) are the one
@@ -61,8 +63,8 @@ const (
 	// KindRegion is a worker's copy of one whole team region body
 	// (machine.Team); the per-loop KindRound spans nest inside it.
 	KindRegion
-	// KindBarrier is a worker's wait at a closing barrier — pool end
-	// phase or in-region team barrier.
+	// KindBarrier is a worker's wait at a closing barrier — a region's
+	// end phase or an in-region team barrier.
 	KindBarrier
 	// KindSteal is an instant event summarizing one stealing loop's chunk
 	// dispatch for the worker (Arg packs local/steals/fails; see

@@ -31,8 +31,7 @@ func ClaimBucket(claims uint64) int {
 // (the critical path), how skewed the barrier arrivals were, and how
 // the executed claims were distributed over workers.
 type RoundSummary struct {
-	// Round is the emitting layer's round id (step sequence under pool,
-	// loop index under team).
+	// Round is the region-local loop index of the round's spans.
 	Round uint32
 	// StartNs and EndNs bound the round's work spans (epoch-relative).
 	StartNs, EndNs int64

@@ -19,7 +19,7 @@ import (
 )
 
 // TestChaosMatrixDifferential drives kernel.DifferentialChaos over the
-// default registry: kernel × method × pool/team × block/stealing × seed,
+// default registry: kernel × method × team × block/stealing × seed,
 // all faults on, at P=4. The CI chaos job runs this under -race.
 func TestChaosMatrixDifferential(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
@@ -58,7 +58,7 @@ func (r *doubleCommitResolver) ResetRange(lo, hi int) { r.inner.ResetRange(lo, h
 // write closures are empty so a broken resolver corrupts only the
 // checker's accounting, never shared memory.
 func driveResolver(m *machine.Machine, n, rounds int, r cw.Resolver) {
-	exec.Run(m, machine.ExecPool, func(ctx exec.Ctx) {
+	exec.Run(m, machine.ExecTeam, func(ctx exec.Ctx) {
 		for rd := 1; rd <= rounds; rd++ {
 			round := uint32(rd)
 			ctx.ForWorker(n*ctx.P(), func(i, w int) {
@@ -148,7 +148,7 @@ func TestChaosMachineWiring(t *testing.T) {
 		t.Fatal("WithChaos did not imply a metrics recorder")
 	}
 	var sum [2]int
-	exec.Run(m, machine.ExecPool, func(ctx exec.Ctx) {
+	exec.Run(m, machine.ExecTeam, func(ctx exec.Ctx) {
 		ctx.ForWorker(1000, func(i, w int) { sum[w] += i })
 		ctx.Barrier()
 	})

@@ -1,15 +1,14 @@
 // Cross-backend state tests: the differential matrices themselves (every
 // registered kernel × method × backend × representation × policy ×
-// relabeling, byte-compared against the pool/block/word reference) are
+// relabeling, byte-compared against the team/block/word reference) are
 // implemented in internal/kernel (DifferentialExec, DifferentialPolicy,
 // DifferentialRelabel, Smoke) and driven by registrymatrix_test.go in this
 // package. What remains here are the contracts a registry-driven sweep
 // cannot express: round-id continuity when one kernel instance alternates
 // backends without reset, and the trace backend's recording contract.
 //
-// CI runs this package under -race, where the team backend's sense
-// barriers and the pool backend's fork/join steps are exercised with real
-// concurrency.
+// CI runs this package under -race, where the team backend's region
+// phases and sense barriers are exercised with real concurrency.
 package integration
 
 import (
@@ -25,7 +24,7 @@ import (
 )
 
 // matrixExecs is every backend, including the untimed trace replay.
-var matrixExecs = []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace}
+var matrixExecs = []machine.Exec{machine.ExecTeam, machine.ExecTrace}
 
 // guardedMethods are the methods that safely implement the kernels'
 // arbitrary concurrent writes (cw.Naive is not among them; the metrics
@@ -60,8 +59,8 @@ func bfsProjection(r bfs.Result) []byte {
 
 // TestExecInterleavedRoundOffsets drives one kernel instance through the
 // backends in rotation with no state reset beyond Prepare: the CAS-LT
-// round base must carry across backend switches (a stale claim from a pool
-// run must never alias a later team run's round, and the trace replay must
+// round base must carry across backend switches (a stale claim from a team
+// run must never alias a later run's round, and the trace replay must
 // consume rounds from the same sequence).
 func TestExecInterleavedRoundOffsets(t *testing.T) {
 	m := testMachine(t, 4)
@@ -109,7 +108,7 @@ func TestExecTraceRecords(t *testing.T) {
 	}
 
 	k.Prepare(0)
-	k.RunExec(machine.ExecPool, cw.CASLT)
+	k.RunExec(machine.ExecTeam, cw.CASLT)
 	if k.Trace() != nil {
 		t.Fatal("timed run left a stale trace")
 	}

@@ -34,7 +34,7 @@ import (
 // timedExecs are the backends whose workers actually record: the trace
 // backend's Ctx.Metrics is nil by design (its serial replay has no
 // contention to observe), so a metrics differential there is vacuous.
-var timedExecs = []machine.Exec{machine.ExecPool, machine.ExecTeam}
+var timedExecs = machine.Execs
 
 // metricsMachine is testMachine with recording enabled and the probe
 // attached over n cells.

@@ -21,7 +21,7 @@ import (
 
 // TestRegistryDifferentialExec byte-compares every registered kernel's
 // projection across all execution backends, methods and representations
-// against the single-threaded pool/word reference.
+// against the team/word reference.
 func TestRegistryDifferentialExec(t *testing.T) {
 	if err := kernel.DifferentialExec(kernel.Default, []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestRegistryDifferentialExec(t *testing.T) {
 }
 
 // TestRegistryDifferentialPolicy byte-compares every registered kernel
-// across all scheduling policies and backends against the block/pool
+// across all scheduling policies and backends against the block/team
 // reference.
 func TestRegistryDifferentialPolicy(t *testing.T) {
 	if err := kernel.DifferentialPolicy(kernel.Default); err != nil {

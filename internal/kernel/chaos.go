@@ -75,12 +75,12 @@ func enableChaosChecker(m *machine.Machine, d *Descriptor, nw NamedWorkload, met
 
 // DifferentialChaos runs every registered kernel under adversarial
 // schedule perturbation and demands nothing changes: for each kernel ×
-// method × timed backend (pool, team) × scheduling policy (block,
-// stealing) × seed, a machine carrying a chaos.Injector with the given
+// method × timed backend (team) × scheduling policy (block, stealing) ×
+// seed, a machine carrying a chaos.Injector with the given
 // fault mask runs the kernel with the invariant checker attached, the run
 // must validate, the checker must catch zero violations, and — for
 // kernels deterministic at p — the projection must be byte-identical to
-// an unperturbed pool/block reference. Kernels exposing the generic
+// an unperturbed team/block reference. Kernels exposing the generic
 // resolver hook additionally run a sticky-loser leg: a StickyResolver
 // re-drives every lost claim and asserts no re-drive ever wins.
 //
@@ -98,12 +98,12 @@ func DifferentialChaos(reg *Registry, p int, seeds []uint64, faults chaos.Fault)
 func diffChaosOne(d *Descriptor, p int, seeds []uint64, faults chaos.Fault) error {
 	nw := chaosWorkload(d)
 
-	// Unperturbed pool/block reference projections, one per method.
+	// Unperturbed team/block reference projections, one per method.
 	ref := machine.New(p)
 	refInst := d.New(ref, nw.W)
 	want := map[cw.Method][]byte{}
 	for _, method := range matrixMethods(d) {
-		b, err := oneRun(d, refInst, p, Settings{Exec: machine.ExecPool, Method: method})
+		b, err := oneRun(d, refInst, p, Settings{Exec: machine.ExecTeam, Method: method})
 		if err != nil {
 			ref.Close()
 			return fmt.Errorf("%s/%s p=%d %s reference: %w", d.Name, nw.Name, p, method, err)
@@ -166,8 +166,8 @@ func chaosResolverLeg(d *Descriptor, nw NamedWorkload, m *machine.Machine, inst 
 		tag := fmt.Sprintf("%s/%s sticky-resolver %s policy=%s seed=%d", d.Name, nw.Name, method, pol, seed)
 		ck := enableChaosChecker(m, d, nw, method)
 		sr := chaos.NewStickyResolver(cw.NewResolver(method, n, cw.Packed))
-		inst.Prepare(Settings{Exec: machine.ExecPool, Method: method})
-		rr.RunResolver(machine.ExecPool, sr)
+		inst.Prepare(Settings{Exec: machine.ExecTeam, Method: method})
+		rr.RunResolver(machine.ExecTeam, sr)
 		if err := inst.Validate(); err != nil {
 			return fmt.Errorf("%s: %w", tag, err)
 		}

@@ -33,6 +33,10 @@ func seedAxis(f *testing.F, axis string) {
 
 func FuzzParseExec(f *testing.F) {
 	seedAxis(f, AxisExec)
+	// A removed backend's name must parse as unknown.
+	f.Add("pool")
+	f.Add("pool,team")
+	f.Add("Pool")
 	f.Fuzz(func(t *testing.T, s string) {
 		e, ok := machine.ParseExec(s)
 		if want := ValidAxisValue(AxisExec, s); ok != want {

@@ -131,9 +131,9 @@ func oneRun(d *Descriptor, inst Instance, p int, s Settings) ([]byte, error) {
 }
 
 // DifferentialExec cross-validates every registered kernel across all
-// execution backends at each worker count in ps: each run must validate,
-// and the deterministic projection must be byte-identical to the pool
-// reference. Kernels with a bitmap representation additionally run both
+// execution backends at each worker count in ps — the team backend and
+// its serial trace replay: each run must validate, and the deterministic
+// projection must be byte-identical to the team reference. Kernels with a bitmap representation additionally run both
 // representations on every backend, and the bitmap projection must equal
 // the word projection.
 func DifferentialExec(reg *Registry, ps []int) error {
@@ -191,7 +191,7 @@ func diffExecOne(d *Descriptor, nw NamedWorkload, p int) error {
 
 // DifferentialPolicy cross-validates every registered kernel across all
 // scheduling policies on 4-worker machines: every policy × timed backend
-// must validate and project identically to the block/pool reference.
+// must validate and project identically to the block/team reference.
 func DifferentialPolicy(reg *Registry) error {
 	machines := make(map[sched.Policy]*machine.Machine, len(sched.Policies))
 	for _, pol := range sched.Policies {
@@ -228,7 +228,7 @@ func DifferentialPolicy(reg *Registry) error {
 // DifferentialRelabel checks every relabelable kernel under each CSR
 // relabeling mode at each worker count in ps: the result computed on the
 // permuted graph, unpermuted back to original vertex ids, must validate on
-// the permuted graph and project identically to the unrelabeled pool
+// the permuted graph and project identically to the unrelabeled team
 // reference. Bitmap kernels run both representations.
 func DifferentialRelabel(reg *Registry, ps []int) error {
 	for _, d := range reg.All() {
@@ -251,7 +251,7 @@ func diffRelabelOne(d *Descriptor, nw NamedWorkload, p int) error {
 	defer m.Close()
 	method := reprMethod(d)
 	ref := d.New(m, nw.W)
-	want, err := oneRun(d, ref, p, Settings{Exec: machine.ExecPool, Method: method})
+	want, err := oneRun(d, ref, p, Settings{Exec: machine.ExecTeam, Method: method})
 	if err != nil {
 		return fmt.Errorf("%s/%s p=%d reference: %w", d.Name, nw.Name, p, err)
 	}
@@ -305,7 +305,7 @@ func Smoke(reg *Registry) error {
 		nw := MatrixWorkloads(d)[0]
 		m := machine.New(2)
 		inst := d.New(m, nw.W)
-		base := Settings{Exec: machine.ExecPool, Method: reprMethod(d)}
+		base := Settings{Exec: machine.ExecTeam, Method: reprMethod(d)}
 		for _, ax := range d.Axes() {
 			for _, val := range ax.Values {
 				s := base

@@ -20,8 +20,8 @@
 // All policies produce exact partitions: every index in [0, n) is visited
 // exactly once across the party.
 //
-// Everything here is a PRODUCTION path: the machine's pool and team
-// backends and the trace replay partition every work-shared loop through
+// Everything here is a PRODUCTION path: the machine's team regions and
+// the trace replay partition every work-shared loop through
 // this package (Block by default; BlockRange's boundaries are part of the
 // exec contract — kernels like the frontier BFS re-derive them, and the
 // trace backend replays them, so all backends must agree). The weighted

@@ -188,11 +188,8 @@ type Exec = machine.Exec
 
 // Execution backends for WithExec and the kernels' RunExec entry points.
 const (
-	// ExecPool re-enters the worker pool from the caller for every
-	// lock-step round (one fork/join per round) — the default.
-	ExecPool = machine.ExecPool
 	// ExecTeam runs the whole kernel inside one persistent parallel
-	// region; rounds are separated by sense barriers.
+	// region; rounds are separated by sense barriers — the default.
 	ExecTeam = machine.ExecTeam
 	// ExecTrace replays the kernel serially with P logical workers,
 	// counting steps, barriers and per-worker iterations instead of
@@ -200,7 +197,7 @@ const (
 	ExecTrace = machine.ExecTrace
 )
 
-// ParseExec converts a backend name ("pool", "team", "trace") to an Exec.
+// ParseExec converts a backend name ("team", "trace") to an Exec.
 func ParseExec(s string) (Exec, bool) { return machine.ParseExec(s) }
 
 // Execs lists the timed execution backends in presentation order.
