@@ -97,13 +97,9 @@ type Kernel struct {
 	curBits  *cw.BitArray
 	nextBits *cw.BitArray
 
-	// Frontier-variant state (frontier.go), allocated on first use.
-	frontier []uint32
-	next     []uint32
-	bufs     [][]uint32 // per-worker discovery buffers
-	wOff     []int      // per-worker offsets into next
-	degSum   []uint64   // per-worker arc count of the level's discoveries
-	discArcs uint64     // level's total discovered arcs (team hybrid Single)
+	// Frontier-variant state (frontier.go), allocated on first use: the
+	// per-worker discovery buffers, one set per level parity.
+	disc [2][]discBuf
 
 	// Edge-balanced frontier scratch (allocated when balance is edge):
 	// per-vertex frontier degrees, their prefix scan, and the per-worker

@@ -85,8 +85,8 @@ func TestFrontierMemoryStaysLinear(t *testing.T) {
 		k.Prepare(0)
 		k.RunCASLTFrontier()
 	}
-	// frontier + next + per-worker buffers: comfortably under ~16 bytes
-	// per vertex plus slack.
+	// The two sets of per-worker buffers: comfortably under ~16 bytes per
+	// vertex plus slack.
 	if got, limit := k.frontierStateBytes(), 16*g.NumVertices()+4096; got > limit {
 		t.Fatalf("frontier state %d bytes exceeds %d", got, limit)
 	}
@@ -115,6 +115,56 @@ func TestFrontierDeepPath(t *testing.T) {
 	}
 	if err := Validate(g, 0, r, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrontierLevelIsOneRound pins the round shape: a level is its
+// relaxation round and nothing else — no serial section assembles the next
+// frontier and no copy round moves it.
+func TestFrontierLevelIsOneRound(t *testing.T) {
+	m := testMachine(t, 2)
+	k := NewKernel(m, graph.Grid2D(64, 4))
+	k.SetStealing(false)
+	k.Prepare(0)
+	r := k.RunCASLTFrontierExec(machine.ExecTrace)
+	st := k.Trace()
+	if st.Steps != r.Depth+1 || st.Barriers != r.Depth+1 || st.Singles != 0 {
+		t.Fatalf("frontier depth %d: %d steps, %d barriers, %d singles; want %d, %d, 0",
+			r.Depth, st.Steps, st.Barriers, st.Singles, r.Depth+1, r.Depth+1)
+	}
+	// The hybrid's levels are one round too, plus the push→pull conversion
+	// rounds of a bitmap pull level; every barrier closes a loop.
+	g := graph.RMAT(10, 8<<10, 0.57, 0.19, 0.19, 3)
+	for _, bitmap := range []bool{false, true} {
+		k := NewKernel(m, g)
+		k.SetBitmap(bitmap)
+		k.Prepare(0)
+		k.RunCASLTHybridExec(machine.ExecTrace)
+		if st := k.Trace(); st.Singles != 0 || st.Barriers != st.Steps {
+			t.Fatalf("hybrid bitmap=%v: %d steps, %d barriers, %d singles; want no singles and a barrier per step",
+				bitmap, st.Steps, st.Barriers, st.Singles)
+		}
+	}
+}
+
+// TestFrontierAllocationsIndependentOfDepth pins that a level allocates
+// nothing: the loop bodies are bound once per region, so a run on a grid
+// 16 times deeper allocates exactly as often.
+func TestFrontierAllocationsIndependentOfDepth(t *testing.T) {
+	m := testMachine(t, 2)
+	allocs := func(rows int) float64 {
+		k := NewKernel(m, graph.Grid2D(rows, 4))
+		run := func() {
+			k.Prepare(0)
+			k.RunCASLTFrontier()
+		}
+		for i := 0; i < 5; i++ {
+			run() // grow the discovery buffers to their steady capacity
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	if shallow, deep := allocs(64), allocs(1024); shallow != deep {
+		t.Fatalf("allocations per run: %v on Grid2D(64,4), %v on Grid2D(1024,4)", shallow, deep)
 	}
 }
 

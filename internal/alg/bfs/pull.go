@@ -35,8 +35,8 @@ import (
 // class) changes between rounds, never the round protocol around it. The
 // per-level direction decision must be SPMD-consistent, so every worker
 // tracks (m_f, m_u, direction) in worker-local variables updated from
-// shared counters only after the level's Single published them — all
-// workers therefore compute the identical decision sequence.
+// shared state only after the previous level's closing barrier published
+// it — all workers therefore compute the identical decision sequence.
 //
 // SelEdge direction: a push discovery records the arc parent→u, a pull
 // discovery the arc u→parent (the arc the scan actually examined — the
@@ -71,9 +71,9 @@ func NextDirection(pull bool, mf, mu, nf, n uint64) bool {
 // claims itself for level L+1. level[u] is written only by the worker that
 // owns u's shard (shards are static across levels), so the filter read is
 // plain; neighbor levels are cross-worker and read atomically. Returns
-// whether anything was discovered. onFound, if non-nil, observes each
-// discovery (the hybrid driver's frontier collection).
-func (k *Kernel) pullLevel(lo, hi int, L uint32, onFound func(u uint32)) bool {
+// whether anything was discovered. out, if non-nil, collects each
+// discovery (the hybrid driver's next frontier).
+func (k *Kernel) pullLevel(lo, hi int, L uint32, out *discBuf) bool {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	progress := false
 	for u := lo; u < hi; u++ {
@@ -88,8 +88,8 @@ func (k *Kernel) pullLevel(lo, hi int, L uint32, onFound func(u uint32)) bool {
 				atomic.StoreUint32(&k.visited[u], 1)
 				atomic.StoreUint32(&k.level[u], L+1)
 				progress = true
-				if onFound != nil {
-					onFound(uint32(u))
+				if out != nil {
+					out.add(L+1, uint32(u), offsets[u+1]-offsets[u])
 				}
 				break
 			}
@@ -107,7 +107,7 @@ func (k *Kernel) pullLevel(lo, hi int, L uint32, onFound func(u uint32)) bool {
 // in fact exclusive — the OR only arbitrates word aliasing with the 63
 // neighboring bits. level/parent/selEdge are written exactly as in
 // pullLevel, so the output arrays stay byte-identical.
-func (k *Kernel) pullLevelBits(lo, hi int, L uint32, onFound func(u uint32)) bool {
+func (k *Kernel) pullLevelBits(lo, hi int, L uint32, out *discBuf) bool {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	progress := false
 	for u := lo; u < hi; u++ {
@@ -123,8 +123,8 @@ func (k *Kernel) pullLevelBits(lo, hi int, L uint32, onFound func(u uint32)) boo
 				k.nextBits.Set(u)
 				atomic.StoreUint32(&k.level[u], L+1)
 				progress = true
-				if onFound != nil {
-					onFound(uint32(u))
+				if out != nil {
+					out.add(L+1, uint32(u), offsets[u+1]-offsets[u])
 				}
 				break
 			}
@@ -216,83 +216,37 @@ func (k *Kernel) runPullBitmap(e machine.Exec) Result {
 func (k *Kernel) RunCASLTHybrid() Result { return k.RunCASLTHybridExec(k.m.Exec()) }
 
 // RunCASLTHybridExec is RunCASLTHybrid under an explicit execution
-// backend. Per level it costs the relax/pull sweep round, the Single that
-// assembles offsets and the level's arc count, and the copy round — the
-// same three-round shape as RunCASLTFrontierExec regardless of direction.
+// backend. A level is its push relaxation or its pull sweep, one round
+// either way, plus the edge-balanced re-shard rounds of a push level under
+// edge balance and the two push→pull conversion rounds of a bitmap pull
+// level. No round assembles the next frontier: every worker reads it and
+// its arc count from the discovery buffers in place, as in
+// RunCASLTFrontierExec.
 func (k *Kernel) RunCASLTHybridExec(e machine.Exec) Result {
 	k.requireSymmetric()
-	offsets := k.g.Offsets()
-	p := k.m.P()
-	k.ensureFrontierState()
+	k.seedFrontier()
 	if k.balance == graph.BalanceEdge {
 		k.ensureArcBounds() // allocate outside the region
 	}
-	k.frontier = append(k.frontier[:0], k.source)
-	mfInit := uint64(k.g.Degree(k.source))
-	muInit := uint64(k.g.NumArcs()) - mfInit
 	var depth uint32
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
-		mf, mu := mfInit, muInit
+		l := k.newLevelLoop(ctx)
+		mu := uint64(k.g.NumArcs())
 		pull := false
 		L := uint32(0)
-		for {
-			pull = NextDirection(pull, mf, mu, uint64(len(k.frontier)), uint64(k.n))
-			round := k.base + L + 1
-			frontier := k.frontier
+		for nf := l.load(L); nf > 0; nf = l.load(L) {
+			mf := l.f.arcs
+			mu -= mf
+			pull = NextDirection(pull, mf, mu, uint64(nf), uint64(k.n))
 			if pull {
-				onFound := func(w int) func(u uint32) {
-					return func(u uint32) {
-						k.bufs[w] = append(k.bufs[w], u)
-						k.degSum[w] += uint64(offsets[u+1] - offsets[u])
-					}
-				}
-				if k.bitmap {
-					// Push→pull conversion: rebuild the level-L membership
-					// bitmap from the explicit frontier list (one clearing
-					// round plus one fetch-OR per frontier vertex), so the
-					// pull sweep probes bits regardless of which direction
-					// produced the frontier.
-					ctx.Range(k.n, func(lo, hi, _ int) { k.curBits.ResetRange(lo, hi) })
-					ctx.ForWorker(len(frontier), func(i, _ int) { k.curBits.Set(int(frontier[i])) })
-					k.ctxSweep(ctx, func(lo, hi, w int) {
-						k.pullLevelBits(lo, hi, L, onFound(w))
-					})
-				} else {
-					k.ctxSweep(ctx, func(lo, hi, w int) {
-						k.pullLevel(lo, hi, L, onFound(w))
-					})
-				}
+				l.pull()
 			} else {
-				k.relaxFrontier(ctx, frontier, L, round)
+				l.push()
 			}
-			ctx.Single(func() {
-				total := 0
-				var disc uint64
-				for i := 0; i < p; i++ {
-					k.wOff[i] = total
-					total += len(k.bufs[i])
-					disc += k.degSum[i]
-					k.degSum[i] = 0 // re-zero for the next level's counters
-				}
-				k.wOff[p] = total
-				k.discArcs = disc
-				k.frontier, k.next = k.next[:total], frontier[:0]
-			})
-			// Single's barrier published the offsets, the swap and discArcs.
-			mu -= k.discArcs
-			mf = k.discArcs
-			if len(k.frontier) == 0 {
-				if ctx.Worker() == 0 {
-					depth = L
-				}
-				break
-			}
-			next := k.frontier
-			ctx.ForWorker(p, func(i, _ int) {
-				copy(next[k.wOff[i]:k.wOff[i+1]], k.bufs[i])
-				k.bufs[i] = k.bufs[i][:0]
-			})
 			L++
+		}
+		if ctx.Worker() == 0 {
+			depth = L - 1 // the last non-empty level
 		}
 	})
 	k.base += depth + 1

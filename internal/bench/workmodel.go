@@ -190,7 +190,7 @@ func (b *bfsModel) sweep(bal graph.Balance) WorkModel {
 
 // frontierRound fills shard with the per-worker cost of relaxing frontier f
 // under the balance policy: 1 + deg(u) per frontier vertex, split by vertex
-// count or by the degree prefix (mirroring relaxFrontier).
+// count or by the degree prefix (mirroring the kernel's push level).
 func (b *bfsModel) frontierRound(f []uint32, bal graph.Balance) {
 	for w := range b.shard {
 		b.shard[w] = 0

@@ -16,7 +16,8 @@ import (
 type TraceStats struct {
 	// P is the logical worker count the replay partitioned loops for.
 	P int
-	// Steps counts work-shared loops (For/ForWorker/Range/Bounds calls).
+	// Steps counts work-shared loops (For/ForWorker/Range/Bounds/StealRange
+	// calls).
 	Steps int
 	// Barriers counts synchronization points: the implicit barrier closing
 	// each work-shared loop, each explicit Barrier(), and the barrier

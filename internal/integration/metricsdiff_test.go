@@ -115,8 +115,9 @@ func TestExecMetricsDifferentialBFS(t *testing.T) {
 				return bfsProjection(r)
 			}, checkGuarded(p, method))
 		}
-		// The frontier variant exercises the Shard path through
-		// relaxFrontier (shards flow through ForWorker, not Range).
+		// The frontier variant exercises the Shard path through its push
+		// relaxation (shards flow through ForWorker, not Range), with each
+		// level read from the discovery buffers in place.
 		tag := fmt.Sprintf("p=%d bfs-frontier", p)
 		runDifferential(t, tag, plain, inst, func(m *machine.Machine, e machine.Exec) []byte {
 			k := kernelOf(m)
