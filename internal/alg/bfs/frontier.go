@@ -176,8 +176,8 @@ func (k *Kernel) newLevelLoop(ctx exec.Ctx) *levelLoop {
 	l.relaxAt = func(i, w int) { l.relax(l.f.at(i), w) }
 	// The executing worker owns the discovery buffer it appends to, so
 	// chunk migration under stealing never moves a buffer between workers
-	// mid-append.
-	l.relaxChunk = l.relaxRange
+	// mid-append. Stealing slots past the frontier are empty (see push).
+	l.relaxChunk = func(lo, hi, w int) { l.relaxRange(lo, min(hi, l.f.len()), w) }
 
 	// Edge balance. Pass 1: degrees plus each block's partial sum. Shares
 	// map to workers block-wise under every backend, so the partial lands
@@ -311,10 +311,14 @@ func (l *levelLoop) push() {
 		ctx.ForWorker(ctx.P(), l.relaxShard)
 		return
 	}
-	if k.steal && nf > 1 {
+	if k.steal {
 		// Work-stealing relaxation: chunks of the frontier migrate from
 		// straggling workers (the ones that drew the hubs) to idle ones.
-		ctx.StealRange(nf, l.relaxChunk)
+		// The loop spans at least P slots, those past the frontier empty,
+		// so every worker's deque is seeded and a level's first claim is
+		// always an owner's pop: a frontier smaller than P is not left to
+		// thieves racing its owners.
+		ctx.StealRange(max(nf, ctx.P()), l.relaxChunk)
 		return
 	}
 	ctx.ForWorker(nf, l.relaxAt)

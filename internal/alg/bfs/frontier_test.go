@@ -148,23 +148,79 @@ func TestFrontierLevelIsOneRound(t *testing.T) {
 }
 
 // TestFrontierAllocationsIndependentOfDepth pins that a level allocates
-// nothing: the loop bodies are bound once per region, so a run on a grid
-// 16 times deeper allocates exactly as often.
+// nothing, for every loop shape a level can take: the loop bodies are bound
+// once per region, so a run on a grid 16 times deeper allocates exactly as
+// often. The hybrid runs its last levels bottom-up, 11 of them on
+// Grid2D(12,4) and 8 on the deeper grids, so the pull shapes are pinned too.
 func TestFrontierAllocationsIndependentOfDepth(t *testing.T) {
 	m := testMachine(t, 2)
-	allocs := func(rows int) float64 {
-		k := NewKernel(m, graph.Grid2D(rows, 4))
-		run := func() {
-			k.Prepare(0)
-			k.RunCASLTFrontier()
-		}
-		for i := 0; i < 5; i++ {
-			run() // grow the discovery buffers to their steady capacity
-		}
-		return testing.AllocsPerRun(50, run)
+	frontier, hybrid := (*Kernel).RunCASLTFrontier, (*Kernel).RunCASLTHybrid
+	cases := []struct {
+		name   string
+		run    func(*Kernel) Result
+		steal  bool
+		bitmap bool
+		bal    graph.Balance
+	}{
+		{"frontier", frontier, false, false, graph.BalanceVertex},
+		{"frontier/steal", frontier, true, false, graph.BalanceVertex},
+		{"frontier/edge", frontier, false, false, graph.BalanceEdge},
+		{"hybrid", hybrid, false, false, graph.BalanceVertex},
+		{"hybrid/bitmap", hybrid, false, true, graph.BalanceVertex},
+		{"hybrid/bitmap/steal", hybrid, true, true, graph.BalanceVertex},
+		{"hybrid/edge", hybrid, false, false, graph.BalanceEdge},
 	}
-	if shallow, deep := allocs(64), allocs(1024); shallow != deep {
-		t.Fatalf("allocations per run: %v on Grid2D(64,4), %v on Grid2D(1024,4)", shallow, deep)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(rows int) float64 {
+				k := NewKernel(m, graph.Grid2D(rows, 4))
+				k.SetStealing(c.steal)
+				k.SetBitmap(c.bitmap)
+				k.SetBalance(c.bal)
+				run := func() {
+					k.Prepare(0)
+					c.run(k)
+				}
+				for i := 0; i < 3; i++ {
+					run() // grow the discovery buffers to their steady capacity
+				}
+				return testing.AllocsPerRun(10, run)
+			}
+			want := allocs(64)
+			for _, rows := range []int{12, 1024} {
+				if got := allocs(rows); got != want {
+					t.Fatalf("allocations per run: %v on Grid2D(64,4), %v on Grid2D(%d,4)", want, got, rows)
+				}
+			}
+		})
+	}
+}
+
+// TestStealingLevelSeedsEveryDeque pins the stealing relaxation's loop
+// shape: a level spans at least P slots, so every worker's deque is seeded
+// and the level's first claim is an owner's pop. On a path every frontier
+// is one vertex, so each level claims exactly P chunks and at least one of
+// them locally.
+func TestStealingLevelSeedsEveryDeque(t *testing.T) {
+	const p = 4
+	m := machine.New(p, machine.WithMetrics())
+	defer m.Close()
+	g := graph.Path(40)
+	k := NewKernel(m, g)
+	k.SetStealing(true)
+	for run := 0; run < 20; run++ {
+		k.Prepare(0)
+		m.Metrics().Reset()
+		r := k.RunCASLTFrontier()
+		if err := Validate(g, 0, r, true); err != nil {
+			t.Fatal(err)
+		}
+		levels := uint64(r.Depth + 1)
+		s := m.Snapshot()
+		if s.ChunksLocal+s.Steals != p*levels || s.ChunksLocal < levels {
+			t.Fatalf("run %d: %d levels claimed %d chunks locally and stole %d; want %d in all, at least %d local",
+				run, levels, s.ChunksLocal, s.Steals, p*levels, levels)
+		}
 	}
 }
 
