@@ -1,8 +1,11 @@
 package machine_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -76,18 +79,116 @@ func TestCloseJoinsWorkers(t *testing.T) {
 	}
 }
 
-// TestOneWorkerStartsNoGoroutine checks that a one-worker machine runs
-// everything on its caller: New(1) starts no worker goroutine.
-func TestOneWorkerStartsNoGoroutine(t *testing.T) {
-	g0 := runtime.NumGoroutine()
-	m := machine.New(1)
-	defer m.Close()
-	if g := runtime.NumGoroutine(); g != g0 {
-		t.Fatalf("New(1) changed the goroutine count from %d to %d", g0, g)
+// goid returns the calling goroutine's id, read from the "goroutine N
+// [running]:" header of its stack trace.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestCallerIsWorkerZero pins the machine's goroutine shape: New(p) starts
+// exactly p-1 helper goroutines, and worker 0 of every region runs on the
+// calling goroutine — the Team body, the w == 0 body of ParallelForWorker
+// and the Worker() == 0 copy of an exec.Run body — while workers 1..p-1
+// each run on a helper of their own.
+func TestCallerIsWorkerZero(t *testing.T) {
+	// One P keeps the goroutine count exact, as in TestCloseJoinsWorkers;
+	// the yield lets helpers of earlier tests finish retiring first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
+	caller := goid()
+	for _, p := range []int{1, 2, 4} {
+		g0 := runtime.NumGoroutine()
+		m := machine.New(p)
+		if g := runtime.NumGoroutine(); g != g0+p-1 {
+			t.Errorf("p=%d: New added %d goroutines, want %d", p, g-g0, p-1)
+		}
+		// Each worker writes only its own slot; the region's end phase
+		// publishes the slots to the caller.
+		check := func(what string, ids []string) {
+			t.Helper()
+			seen := map[string]int{}
+			for w, id := range ids {
+				if (id == caller) != (w == 0) {
+					t.Errorf("p=%d %s: worker %d ran on goroutine %s, caller is %s", p, what, w, id, caller)
+				}
+				if v, dup := seen[id]; dup {
+					t.Errorf("p=%d %s: workers %d and %d share goroutine %s", p, what, v, w, id)
+				}
+				seen[id] = w
+			}
+		}
+		ids := make([]string, p)
+		m.Team(func(tc *machine.TeamCtx) { ids[tc.W] = goid() })
+		check("Team", ids)
+		ids = make([]string, p)
+		m.ParallelForWorker(p, func(_, w int) { ids[w] = goid() })
+		check("ParallelForWorker", ids)
+		var zero string
+		exec.Run(m, machine.ExecTeam, func(c exec.Ctx) {
+			if c.Worker() == 0 {
+				zero = goid()
+			}
+		})
+		if zero != caller {
+			t.Errorf("p=%d exec.Run: Worker() == 0 ran on goroutine %s, caller is %s", p, zero, caller)
+		}
+		m.Close()
 	}
-	ran := 0
-	m.ParallelFor(10, func(int) { ran++ })
-	if ran != 10 {
-		t.Fatalf("inline ParallelFor ran %d iterations, want 10", ran)
+}
+
+// TestCallerKeepsProfileLabels checks that running regions does not strip
+// the caller's pprof labels. The helpers take "round-phase" labels under
+// metrics, but pprof.Do restores the labels of the context it is given, so
+// worker 0 must run its share and its end-phase wait unwrapped. The
+// machines are built outside the labelled scope and closed before the
+// goroutine profile is read, so no helper can carry the probe label.
+func TestCallerKeepsProfileLabels(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  machine.Option
+	}{
+		{"metrics", machine.WithMetrics()},
+		{"evtrace", machine.WithEventTrace(evtrace.New(2, 64))},
+	} {
+		m := machine.New(2, c.opt)
+		var buf bytes.Buffer
+		pprof.Do(context.Background(), pprof.Labels("probe", "caller"), func(context.Context) {
+			m.ParallelFor(100, func(int) {})
+			m.Team(func(tc *machine.TeamCtx) { tc.For(100, func(int) {}) })
+			m.Close()
+			if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !strings.Contains(buf.String(), `"probe":"caller"`) {
+			t.Errorf("%s: the caller lost its profile labels after running regions", c.name)
+		}
+	}
+}
+
+// TestEndPhaseRecordsLandBeforeReturn checks that a region returns only
+// after every helper has recorded its end-phase wait, which it does after
+// the barrier has released it: a timeline drained right after each region
+// holds one end-phase barrier span per worker.
+func TestEndPhaseRecordsLandBeforeReturn(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		rec := evtrace.New(p, 16)
+		m := machine.New(p, machine.WithEventTrace(rec))
+		for r := 0; r < 500; r++ {
+			m.ParallelFor(p, func(int) {})
+			n := 0
+			for _, ev := range rec.Drain().Spans {
+				if ev.Kind == evtrace.KindBarrier {
+					n++
+				}
+			}
+			rec.Reset()
+			if n != p {
+				t.Errorf("p=%d region %d: drained %d end-phase barrier spans, want %d", p, r, n, p)
+				break
+			}
+		}
+		m.Close()
 	}
 }

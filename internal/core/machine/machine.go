@@ -12,18 +12,22 @@
 //
 // The workers are persistent: they are started once and parked on a
 // reusable barrier between regions, mirroring an OpenMP parallel region with
-// an active wait policy (the configuration the paper measures). Every piece
-// of parallel work runs as a team region (team.go): Team runs a whole kernel
-// inside one region — the exact shape of the paper's OpenMP listings, at one
-// team barrier per round — and ParallelFor/ParallelRange/ParallelBounds/
-// ParallelSteal are one-loop regions whose closing barrier is the region's
-// end phase. A one-worker machine starts no worker at all: the caller is the
-// whole team.
+// an active wait policy (the configuration the paper measures). As in
+// OpenMP, the goroutine that opens a region is worker 0 of its team: New
+// starts P-1 helper goroutines (workers 1..P-1), and the caller runs worker
+// 0's share of every region between the region barrier's start and end
+// phases. Every piece of parallel work runs as a team region (team.go): Team
+// runs a whole kernel inside one region — the exact shape of the paper's
+// OpenMP listings, at one team barrier per round — and ParallelFor/
+// ParallelRange/ParallelBounds/ParallelSteal are one-loop regions whose
+// closing barrier is the region's end phase. A one-worker machine starts no
+// goroutine at all: the caller is the whole team.
 package machine
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -36,21 +40,23 @@ import (
 	"crcwpram/internal/sched"
 )
 
-// Machine is a fixed pool of P workers executing PRAM rounds. Create with
-// New, release with Close. A Machine is driven by one caller goroutine at a
+// Machine is a fixed team of P workers executing PRAM rounds: the caller
+// is worker 0 and P-1 helper goroutines are the rest. Create with New,
+// release with Close. A Machine is driven by one caller goroutine at a
 // time; the rounds themselves run on all P workers.
 type Machine struct {
 	p       int
 	policy  sched.Policy
 	chunk   int
 	barKind barrier.Kind
-	// bar is the caller-inclusive (P+1)-party barrier whose start and end
-	// phases bracket every region; nil on a one-worker machine.
+	// bar is the P-party barrier whose start and end phases bracket every
+	// region: the caller arrives as party 0 and helper w as party w. nil
+	// on a one-worker machine.
 	bar barrier.Barrier
 
 	// step is the descriptor of the region in flight. It is written by the
-	// caller before the start barrier and read by workers after it; the
-	// barrier provides the happens-before edge.
+	// caller before the start barrier and read by the helpers after it;
+	// the barrier provides the happens-before edge.
 	step stepDesc
 
 	// Team-region state (team.go): one padded context per worker, the
@@ -89,10 +95,14 @@ type Machine struct {
 	// only when evt is attached.
 	stepSeq uint32
 
+	// settled counts the helpers that have recorded a metrics region's
+	// end-phase wait (see settle).
+	settled atomic.Int32
+
 	exec   Exec
 	round  uint32
 	closed bool
-	// exited counts the worker goroutines still running; Close waits on it.
+	// exited counts the helper goroutines still running; Close waits on it.
 	exited sync.WaitGroup
 }
 
@@ -154,9 +164,11 @@ func WithEventTrace(r *evtrace.Recorder) Option { return func(m *Machine) { m.ev
 // the whole registry. Never time a chaos run.
 func WithChaos(inj *chaos.Injector) Option { return func(m *Machine) { m.chaos = inj } }
 
-// New returns a Machine with p workers. p must be >= 1. The caller owns the
-// machine and must Close it to release the workers. A one-worker machine
-// runs everything on the caller and starts no goroutine.
+// New returns a Machine with p workers: the calling goroutine, which runs
+// worker 0's share of every region, and p-1 helper goroutines. p must be
+// >= 1. The caller owns the machine and must Close it to release the
+// helpers. A one-worker machine runs everything on the caller and starts
+// no goroutine.
 func New(p int, opts ...Option) *Machine {
 	if p < 1 {
 		panic("machine: p must be >= 1")
@@ -204,12 +216,10 @@ func New(p int, opts ...Option) *Machine {
 	m.steal = sched.NewStealer(p)
 	m.step.panics = make([]any, p)
 	if p > 1 {
-		// The caller participates in both barrier phases, so the party is
-		// p+1.
-		m.bar = barrier.New(m.barKind, p+1)
-		m.exited.Add(p)
-		for w := 0; w < p; w++ {
-			go m.worker(w)
+		m.bar = barrier.New(m.barKind, p)
+		m.exited.Add(p - 1)
+		for w := 1; w < p; w++ {
+			go m.helper(w)
 		}
 	}
 	return m
@@ -280,7 +290,7 @@ func (m *Machine) NextRound() uint32 {
 // independent kernel executions whose cw arrays have been Reset.
 func (m *Machine) ResetRound() { m.round = 0 }
 
-// Close shuts the workers down and returns once every worker goroutine
+// Close shuts the helpers down and returns once every helper goroutine
 // has exited. The machine must not be used after Close; a second Close is
 // a no-op.
 func (m *Machine) Close() {
@@ -290,7 +300,7 @@ func (m *Machine) Close() {
 	m.closed = true
 	if m.bar != nil {
 		m.step = stepDesc{quit: true}
-		m.bar.Wait(m.p) // start phase: release workers into the quit branch
+		m.bar.Wait(0) // start phase: release the helpers into the quit branch
 		m.exited.Wait()
 	}
 }
@@ -300,10 +310,10 @@ func (m *Machine) Close() {
 // ParallelFor returns. The barrier is the synchronization point the paper
 // requires between a concurrent write and its dependent reads.
 //
-// The round is a one-loop team region: each worker runs its share and the
-// region's end phase is the closing barrier, so a call costs the region's
-// two (P+1)-party phases. body must be safe for concurrent invocation on
-// distinct i.
+// The round is a one-loop team region: each worker runs its share, worker
+// 0 on the caller, and the region's end phase is the closing barrier, so a
+// call costs the region's two P-party phases. body must be safe for
+// concurrent invocation on distinct i.
 func (m *Machine) ParallelFor(n int, body func(i int)) {
 	if n > 0 {
 		m.Team(func(tc *TeamCtx) { tc.forShare(n, body) })
@@ -392,7 +402,12 @@ func (m *Machine) reraise() {
 	}
 }
 
-func (m *Machine) worker(id int) {
+// helper is the dispatch loop of worker id (1 <= id < P): it picks up
+// each region at the start phase, runs its copy, and joins the team at the
+// end phase, until Close publishes a quit step. The start-phase wait is
+// deliberately not counted: it measures the caller's serial sections, not
+// the region.
+func (m *Machine) helper(id int) {
 	defer m.exited.Done()
 	for {
 		m.bar.Wait(id) // start phase
@@ -400,43 +415,78 @@ func (m *Machine) worker(id int) {
 		if st.quit {
 			return
 		}
-		m.work(st, id)
 		if m.rec == nil {
-			m.bar.Wait(id) // end phase
+			m.work(st, id)
+			m.endPhase(st, id)
 			continue
 		}
-		// The end-phase wait runs under a pprof "round-phase:
-		// barrier-wait" label, is credited as barrier wait, and becomes a
-		// barrier span. The start-phase wait is deliberately not counted:
-		// it measures the caller's serial sections, not the region.
+		// With metrics on, a helper's copy runs under a pprof "round-phase:
+		// work" label and its end-phase wait under "round-phase:
+		// barrier-wait". Worker 0 takes neither: pprof.Do restores the
+		// labels of the context it is given, so it would strip the
+		// caller's own labels after its first region.
+		pprof.Do(context.Background(), pprof.Labels("round-phase", "work"), func(context.Context) {
+			m.work(st, id)
+		})
 		pprof.Do(context.Background(), pprof.Labels("round-phase", "barrier-wait"), func(context.Context) {
-			a := m.evt.Worker(id).Begin(evtrace.KindBarrier, st.seq)
-			t0 := time.Now()
-			m.bar.Wait(id) // end phase
-			m.rec.Shard(id).AddBarrierWait(time.Since(t0))
-			a.End()
+			m.endPhase(st, id)
 		})
 	}
 }
 
 // work runs worker id's copy of the region. The per-machine metrics
-// enable is its one branch: with metrics on, the copy runs under a pprof
-// "round-phase: work" label inside a per-worker region span, with its wall
-// time — minus the in-region barrier waits that TeamCtx.Barrier credits
-// separately — credited to the worker's shard as busy time. With tracing
-// off the spans are nil-buffer no-ops.
+// enable is its one branch: with metrics on, the copy runs inside a
+// per-worker region span, with its wall time — minus the in-region barrier
+// waits that TeamCtx.Barrier credits separately — credited to the worker's
+// shard as busy time. With tracing off the spans are nil-buffer no-ops.
 func (m *Machine) work(st stepDesc, id int) {
 	if m.rec == nil {
 		m.runRegion(st, id)
 		return
 	}
 	sh := m.rec.Shard(id)
-	pprof.Do(context.Background(), pprof.Labels("round-phase", "work"), func(context.Context) {
-		a := m.evt.Worker(id).Begin(evtrace.KindRegion, st.seq)
-		b0 := sh.BarrierWaitTotal()
-		t0 := time.Now()
-		m.runRegion(st, id)
-		sh.AddBusy(time.Since(t0) - (sh.BarrierWaitTotal() - b0))
-		a.End()
-	})
+	a := m.evt.Worker(id).Begin(evtrace.KindRegion, st.seq)
+	b0 := sh.BarrierWaitTotal()
+	t0 := time.Now()
+	m.runRegion(st, id)
+	sh.AddBusy(time.Since(t0) - (sh.BarrierWaitTotal() - b0))
+	a.End()
+}
+
+// endPhase is worker id's wait at the region's end phase, which joins the
+// team. A one-worker machine has no region barrier, so its caller does not
+// wait. With metrics on the wait is credited as barrier wait and becomes a
+// barrier span.
+func (m *Machine) endPhase(st stepDesc, id int) {
+	if m.bar == nil {
+		return
+	}
+	if m.rec == nil {
+		m.bar.Wait(id)
+		return
+	}
+	a := m.evt.Worker(id).Begin(evtrace.KindBarrier, st.seq)
+	t0 := time.Now()
+	m.bar.Wait(id)
+	m.rec.Shard(id).AddBarrierWait(time.Since(t0))
+	a.End()
+	m.settle(id)
+}
+
+// settle closes a metrics region's end phase. Every worker records its
+// end-phase wait only after the barrier has released it, so each helper
+// checks in once its record is written and worker 0 returns only when all
+// have: a Snapshot or Drain right after the region then sees every
+// record, and no helper writes its trace ring while the caller reads it.
+func (m *Machine) settle(id int) {
+	if id != 0 {
+		m.settled.Add(1)
+		return
+	}
+	for spins := 0; m.settled.Load() < int32(m.p-1); spins++ {
+		if spins > teamSpins {
+			runtime.Gosched()
+		}
+	}
+	m.settled.Store(0)
 }

@@ -6,9 +6,11 @@
 // workers simultaneously, and the in-region primitives on TeamCtx — For /
 // ForWorker / Range / Bounds / Steal (work-shared loop ending in a team
 // barrier), Single (one worker executes, the rest wait), and Barrier —
-// mirror `omp for`, `omp single` and `#pragma omp barrier`. Entering a
-// region costs the machine's two (P+1)-party phases; each round inside it
-// costs one P-party team barrier.
+// mirror `omp for`, `omp single` and `#pragma omp barrier`. As OpenMP's
+// master thread is, the caller is worker 0 of the team: it runs its copy of
+// the body next to the P-1 helpers. Entering a region costs the region
+// barrier's two P-party phases; each round inside it costs one P-party team
+// barrier.
 //
 // The Parallel* entry points are one-loop regions: each worker runs its
 // share of the loop with no trailing team barrier, because the region's
@@ -40,12 +42,12 @@ const teamSpins = 128
 // by the team driver and never recorded as a user panic.
 type teamAbort struct{}
 
-// teamBarrier is a sense-reversing barrier for the P workers only (the
-// caller is not a party: it waits at the machine's end phase). Unlike
-// barrier.Sense it is abortable: when a worker panics inside a team body it
-// can never arrive, so waiters poll the machine's abort flag and bail out
-// instead of deadlocking. After an aborted region the internal state is
-// mid-phase garbage; the driver replaces the barrier wholesale.
+// teamBarrier is the sense-reversing barrier of the rounds inside a region,
+// with the P workers as parties. Unlike barrier.Sense it is abortable: when
+// a worker panics inside a team body it can never arrive, so waiters poll
+// the machine's abort flag and bail out instead of deadlocking. After an
+// aborted region the internal state is mid-phase garbage; the driver
+// replaces the barrier wholesale.
 type teamBarrier struct {
 	parties int32
 	count   atomic.Int32
@@ -299,12 +301,12 @@ func (tc *TeamCtx) resetLoop(reset func()) {
 }
 
 // Team runs body once on all P workers simultaneously — one persistent
-// parallel region, the shape of the paper's OpenMP kernels. The caller
-// blocks until every worker has returned from body. Rounds inside the
-// region are expressed with tc.For/tc.Range (implicit team barrier each)
-// and serial sections with tc.Single, so a whole kernel pays region entry
-// once. On a one-worker machine the caller is the team and runs body
-// inline.
+// parallel region, the shape of the paper's OpenMP kernels. The caller is
+// worker 0: it runs its own copy of body and returns once every worker has
+// left the region. Rounds inside the region are expressed with
+// tc.For/tc.Range (implicit team barrier each) and serial sections with
+// tc.Single, so a whole kernel pays region entry once. On a one-worker
+// machine the caller is the whole team.
 //
 // If a worker's body panics, the region is aborted: the remaining workers
 // bail at their next team synchronization point, the panic is re-raised on
@@ -314,17 +316,16 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 		panic("machine: use after Close")
 	}
 	// Fresh region: worker-local epochs restart at 0, so rewind the shared
-	// loop-reset protocol words. The start barrier publishes this to
-	// workers.
+	// loop-reset protocol words. The start barrier publishes this to the
+	// helpers.
 	m.teamTicket.Store(0)
 	m.teamReady.Store(0)
 	m.step = stepDesc{region: body, seq: m.nextSeq(), panics: m.step.panics}
-	if m.p == 1 {
-		m.work(m.step, 0)
-	} else {
-		m.bar.Wait(m.p) // start phase: workers pick up the region body
-		m.bar.Wait(m.p) // end phase: all workers have left the region
+	if m.bar != nil {
+		m.bar.Wait(0) // start phase: the helpers pick up the region body
 	}
+	m.work(m.step, 0)
+	m.endPhase(m.step, 0)
 	if m.teamAborted.Load() {
 		// The team barrier was abandoned mid-phase; replace it.
 		m.teamBar = newTeamBarrier(m.p)

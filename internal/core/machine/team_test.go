@@ -273,10 +273,10 @@ func TestExecParseRoundTrip(t *testing.T) {
 
 // BenchmarkRoundOverhead quantifies the fixed cost of one empty PRAM round
 // under both region shapes: a ParallelFor call is a one-loop region and
-// pays the region's two (P+1)-party phases per round; a round inside a
-// Team region entered once pays one P-party team barrier. At small
-// per-round work the fixed cost dominates, which is why kernels run as
-// one region each.
+// pays the region barrier's two P-party phases per round, with the caller
+// arriving as worker 0; a round inside a Team region entered once pays one
+// P-party team barrier. At small per-round work the fixed cost dominates,
+// which is why kernels run as one region each.
 func BenchmarkRoundOverhead(b *testing.B) {
 	ps := []int{1, 2, 4, 8}
 	if ncpu := runtime.NumCPU(); ncpu > 8 {
