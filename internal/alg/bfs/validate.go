@@ -66,7 +66,7 @@ func Validate(g *graph.Graph, source uint32, r Result, strict bool) error {
 			}
 		} else {
 			// The arc's source must be at the previous level; find it.
-			src := arcSource(offsets, e)
+			src := g.ArcSource(int(e))
 			if r.Level[src] != r.Level[u]-1 {
 				return fmt.Errorf("bfs: selEdge[%d] = %d comes from %d at level %d, want level %d",
 					u, e, src, r.Level[src], r.Level[u]-1)
@@ -137,19 +137,4 @@ func ValidateBidir(g *graph.Graph, source uint32, r Result) error {
 		}
 	}
 	return nil
-}
-
-// arcSource finds the source vertex of CSR arc e by binary search over the
-// offsets array.
-func arcSource(offsets []uint32, e uint32) uint32 {
-	lo, hi := 0, len(offsets)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if offsets[mid] <= e {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return uint32(lo)
 }

@@ -80,7 +80,6 @@ type Kernel struct {
 	dprev    []uint32 // phase-start snapshot of d read by hooking rounds
 	star     []uint32 // 1 = in a star
 	hookEdge []uint32
-	arcSrc   []uint32 // source vertex of each CSR arc
 
 	cells *cw.Array
 	gates *cw.GateArray
@@ -120,25 +119,12 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 		dprev:    make([]uint32, n),
 		star:     make([]uint32, n),
 		hookEdge: make([]uint32, n),
-		arcSrc:   make([]uint32, g.NumArcs()),
 		cells:    cw.NewArray(n, cw.Packed),
 		gates:    cw.NewGateArray(n, cw.Packed),
 		mtx:      cw.NewMutexArray(n),
 	}
-	// Precompute each arc's source vertex so hooking can parallelize
-	// across arcs, "parallelizing across all edges to perform the hooking
-	// step" as the paper describes. The pass itself costs deg(v) per
-	// vertex, so it is sharded by arcs (graph.ArcBounds), not vertices — on
-	// a hub-skewed graph an equal-vertex split would serialize it behind
-	// the worker that owns the hubs.
-	offsets := g.Offsets()
-	m.ParallelBounds(graph.ArcBounds(g, m.P()), func(lo, hi, _ int) {
-		for v := lo; v < hi; v++ {
-			for j := offsets[v]; j < offsets[v+1]; j++ {
-				k.arcSrc[j] = uint32(v)
-			}
-		}
-	})
+	// The hooking rounds find each arc share's first source vertex from the
+	// CSR offsets (see hookPhase), so the kernel keeps no per-arc state.
 	return k
 }
 
@@ -199,39 +185,8 @@ func (k *Kernel) Run(method cw.Method) Result {
 // RunExec is Run under an explicit execution backend.
 func (k *Kernel) RunExec(e machine.Exec, method cw.Method) Result {
 	switch method {
-	case cw.CASLT:
-		// The per-phase round id is derived from the region round counter
-		// plus the kernel's base offset, so no auxiliary state is ever
-		// re-initialized.
-		return k.runExec(e,
-			func(round uint32) hookFunc {
-				return func(sh *metrics.Shard, r int, j, target uint32) bool {
-					return sh.Claim(r, round, k.cells.TryClaimOutcome(r, round)) && k.commit(r, j, target)
-				}
-			},
-			true, func(exec.Ctx) {})
-	case cw.Gatekeeper:
-		return k.runGate(e, false)
-	case cw.GatekeeperChecked:
-		return k.runGate(e, true)
-	case cw.Mutex:
-		return k.runExec(e,
-			func(round uint32) hookFunc {
-				return func(sh *metrics.Shard, r int, j, target uint32) bool {
-					k.mtx.Lock(r)
-					ok := k.commit(r, j, target)
-					k.mtx.Unlock(r)
-					// Each lock acquisition is one executed attempt; the
-					// root re-verification inside commit decides win/loss.
-					o := cw.OutcomeLoss
-					if ok {
-						o = cw.OutcomeWin
-					}
-					sh.Claim(r, round, o)
-					return ok
-				}
-			},
-			false, func(exec.Ctx) {})
+	case cw.CASLT, cw.Gatekeeper, cw.GatekeeperChecked, cw.Mutex:
+		return k.runExec(e, method, nil)
 	case cw.Naive:
 		panic("cc: the naive method cannot implement the arbitrary multi-array hooking write (see the paper, Section 7)")
 	default:
@@ -305,74 +260,128 @@ func (k *Kernel) shortcut(ctx exec.Ctx, changed *exec.Flag, it uint32) {
 	})
 }
 
-// hookFunc attempts the guarded multi-array hook of root r via arc j to
-// target; it returns true if this caller won the write. sh is the calling
-// worker's metrics shard (nil when metrics are off).
-type hookFunc func(sh *metrics.Shard, r int, j uint32, target uint32) bool
-
-// hookPhase runs one hooking round over all arcs, reading parent pointers
-// from the phase-start snapshot dprev (PRAM reads-before-writes semantics:
-// without the snapshot, an arc sourced at a root hooked earlier in the same
-// phase reads its freshly written pointer and can hook its new parent back,
-// forming a cycle). conditional selects the D[v] < D[u] rule (vs.
-// D[v] != D[u]); progress marks iteration it's slot of the rotating flag.
-func (k *Kernel) hookPhase(ctx exec.Ctx, conditional bool, hook hookFunc, changed *exec.Flag, it uint32) {
-	d, star, arcSrc, targets := k.dprev, k.star, k.arcSrc, k.g.Targets()
+// hookPhase runs one hooking round over all arcs under CW round id round,
+// reading parent pointers from the phase-start snapshot dprev (PRAM
+// reads-before-writes semantics: without the snapshot, an arc sourced at a
+// root hooked earlier in the same phase reads its freshly written pointer
+// and can hook its new parent back, forming a cycle). conditional selects
+// the D[v] < D[u] rule (vs. D[v] > D[u]); progress marks iteration it's
+// slot of the rotating flag. Every wanting arc attempts its write through
+// hook, under method or, when res is set, the caller's resolver; a method
+// that needs re-initialization resets its array in one more round.
+//
+// The round parallelizes "across all edges to perform the hooking step",
+// as the paper describes: each worker takes its share [lo, hi) of the arc
+// indices and walks it source by source from graph.ArcSource(lo), reading
+// star[u] and dprev[u] once per source and skipping the adjacency list of a
+// source outside a star. Each arc of a star source still makes its own
+// attempt, so the methods are compared on the same claims.
+func (k *Kernel) hookPhase(ctx exec.Ctx, conditional bool, method cw.Method, res cw.Resolver, round uint32, changed *exec.Flag, it uint32) {
+	d, star, offsets, targets := k.dprev, k.star, k.g.Offsets(), k.g.Targets()
 	// Snapshot the parent pointers; this copy is part of every method's
 	// timed cost, identically, so method comparisons are unaffected.
 	ctx.Range(k.n, func(lo, hi, _ int) {
-		copy(k.dprev[lo:hi], k.d[lo:hi])
+		copy(d[lo:hi], k.d[lo:hi])
 	})
 	rec := ctx.Metrics()
-	ctx.Range(len(arcSrc), func(lo, hi, w int) {
+	ctx.Range(len(targets), func(lo, hi, w int) {
 		sh := rec.Shard(w)
 		progress := false
-		for j := lo; j < hi; j++ {
-			u := arcSrc[j]
+		for u, j := k.g.ArcSource(lo), lo; j < hi; u++ {
+			end := min(int(offsets[u+1]), hi)
 			if star[u] == 0 {
+				j = end
 				continue
 			}
 			du := d[u]
-			dv := d[targets[j]]
-			var want bool
-			if conditional {
-				want = dv < du
-			} else {
-				// Directional variant of the textbook `dv != du` rule: hook
-				// only onto strictly larger roots. With an arbitrary winner
-				// per root per round, `!=` is unsafe — a singleton hooked
-				// into star A during the conditional phase can make A and
-				// another star B adjacent afterwards, and `!=` then hooks A
-				// and B onto each other, forming a 2-cycle. With `>` every
-				// unconditional write increases ids: a hypothetical cycle
-				// a1 -> a2 -> ... -> ak -> a1 of same-round hooks would
-				// need a1 < a2 < ... < ak < a1 (hook targets in star trees
-				// are exactly the roots' ids), a contradiction. Stagnation
-				// is impossible: a star root that is a local minimum among
-				// neighbouring roots hooks here, a local maximum hooks in
-				// the conditional phase.
-				want = dv > du
-			}
-			if want && hook(sh, int(du), uint32(j), dv) {
-				progress = true
+			for ; j < end; j++ {
+				dv := d[targets[j]]
+				var want bool
+				if conditional {
+					want = dv < du
+				} else {
+					// Directional variant of the textbook `dv != du` rule:
+					// hook only onto strictly larger roots. With an arbitrary
+					// winner per root per round, `!=` is unsafe — a singleton
+					// hooked into star A during the conditional phase can
+					// make A and another star B adjacent afterwards, and `!=`
+					// then hooks A and B onto each other, forming a 2-cycle.
+					// With `>` every unconditional write increases ids: a
+					// hypothetical cycle a1 -> a2 -> ... -> ak -> a1 of
+					// same-round hooks would need a1 < a2 < ... < ak < a1
+					// (hook targets in star trees are exactly the roots'
+					// ids), a contradiction. Stagnation is impossible: a star
+					// root that is a local minimum among neighbouring roots
+					// hooks here, a local maximum hooks in the conditional
+					// phase.
+					want = dv > du
+				}
+				if want && k.hook(sh, method, res, round, int(du), uint32(j), dv) {
+					progress = true
+				}
 			}
 		}
 		if progress {
 			changed.Set(it, 1)
 		}
 	})
+	if method.NeedsReset() {
+		ctx.Range(k.n, func(lo, hi, _ int) {
+			if res != nil {
+				res.ResetRange(lo, hi)
+			} else {
+				k.gates.ResetRange(lo, hi)
+			}
+		})
+	}
+}
+
+// hook attempts the guarded multi-array hook of root r via arc j onto
+// target in CW round round, under method or, when res is set, the caller's
+// resolver, and reports whether this caller won the write. The
+// attempt is recorded on the worker's metrics shard sh (nil when metrics
+// are off).
+func (k *Kernel) hook(sh *metrics.Shard, method cw.Method, res cw.Resolver, round uint32, r int, j, target uint32) bool {
+	var o cw.Outcome
+	switch {
+	case res != nil:
+		won := false
+		o = res.DoOutcome(r, round, func() { won = k.commit(r, j, target) })
+		sh.Claim(r, round, o)
+		return won
+	case method == cw.CASLT:
+		o = k.cells.TryClaimOutcome(r, round)
+	case method == cw.Gatekeeper:
+		o = k.gates.TryEnterOutcome(r)
+	case method == cw.GatekeeperChecked:
+		o = k.gates.TryEnterCheckedOutcome(r)
+	default: // cw.Mutex
+		k.mtx.Lock(r)
+		won := k.commit(r, j, target)
+		k.mtx.Unlock(r)
+		// Each lock acquisition is one executed attempt; the root
+		// re-verification inside commit decides win/loss.
+		o = cw.OutcomeLoss
+		if won {
+			o = cw.OutcomeWin
+		}
+		sh.Claim(r, round, o)
+		return won
+	}
+	return sh.Claim(r, round, o) && k.commit(r, j, target)
 }
 
 // runExec drives the iteration structure shared by all methods under
-// backend e, as one SPMD body around the whole convergence loop. mk yields
-// the hook guard for a given round id — the region round counter plus the
-// kernel's base offset when useBase is set (CAS-LT), the bare counter
-// otherwise (two hooking phases per iteration either way). afterPhase runs
-// after each hooking phase for methods needing re-initialization
-// (gatekeeper). The per-iteration "did anything change?" word is the
-// region's rotating Flag, so no round is spent resetting it.
-func (k *Kernel) runExec(e machine.Exec, mk func(round uint32) hookFunc, useBase bool, afterPhase func(exec.Ctx)) Result {
+// backend e, as one SPMD body around the whole convergence loop; the
+// hooking writes go through method's guard or, when res is set, the
+// caller's resolver. Each hooking phase takes a round id from the region
+// round counter, offset by the kernel's base for the kernel's own CAS-LT
+// cells so that they are never re-initialized. The per-iteration "did
+// anything change?" word is the region's rotating Flag, so no round is
+// spent resetting it.
+func (k *Kernel) runExec(e machine.Exec, method cw.Method, res cw.Resolver) Result {
 	maxIter := k.maxIterations()
+	useBase := method == cw.CASLT && res == nil
 	off := uint32(0)
 	if useBase {
 		off = k.base
@@ -387,12 +396,10 @@ func (k *Kernel) runExec(e machine.Exec, mk func(round uint32) hookFunc, useBase
 			r2 := off + ctx.NextRound()
 
 			k.starCheck(ctx)
-			k.hookPhase(ctx, true, mk(r1), changed, it)
-			afterPhase(ctx)
+			k.hookPhase(ctx, true, method, res, r1, changed, it)
 
 			k.starCheck(ctx)
-			k.hookPhase(ctx, false, mk(r2), changed, it)
-			afterPhase(ctx)
+			k.hookPhase(ctx, false, method, res, r2, changed, it)
 
 			k.shortcut(ctx, changed, it)
 
@@ -441,26 +448,6 @@ func (k *Kernel) RunGatekeeper() Result { return k.Run(cw.Gatekeeper) }
 
 // RunGateChecked is RunGatekeeper with the load pre-check mitigation.
 func (k *Kernel) RunGateChecked() Result { return k.Run(cw.GatekeeperChecked) }
-
-func (k *Kernel) runGate(e machine.Exec, checked bool) Result {
-	return k.runExec(e,
-		func(round uint32) hookFunc {
-			return func(sh *metrics.Shard, r int, j, target uint32) bool {
-				var o cw.Outcome
-				if checked {
-					o = k.gates.TryEnterCheckedOutcome(r)
-				} else {
-					o = k.gates.TryEnterOutcome(r)
-				}
-				return sh.Claim(r, round, o) && k.commit(r, j, target)
-			}
-		},
-		false,
-		func(ctx exec.Ctx) {
-			ctx.Range(k.n, func(lo, hi, _ int) { k.gates.ResetRange(lo, hi) })
-		},
-	)
-}
 
 // RunMutex serializes each root's hooking writes behind the root's lock;
 // the first writer to commit wins (the root re-verification makes later

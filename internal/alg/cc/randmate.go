@@ -54,7 +54,7 @@ func (k *Kernel) RunRandMateExec(e machine.Exec, seed uint64) Result {
 	if k.bitmap && k.hookBits == nil {
 		k.hookBits = cw.NewBitArray(k.n) // allocate outside the region
 	}
-	d, dprev, arcSrc, targets := k.d, k.dprev, k.arcSrc, k.g.Targets()
+	d, dprev, offsets, targets := k.d, k.dprev, k.g.Offsets(), k.g.Targets()
 	// The region's Flag tracks per-iteration progress; cross-tree liveness
 	// needs a second rotating flag, declared driver-side so every SPMD copy
 	// shares it.
@@ -92,35 +92,43 @@ func (k *Kernel) RunRandMateExec(e machine.Exec, seed uint64) Result {
 			// that must NOT terminate the loop while such arcs remain.
 			// The hook body accumulates its progress/cross flags per share
 			// (or per stolen chunk — the flag sets are idempotent common
-			// writes, so chunk granularity changes nothing).
+			// writes, so chunk granularity changes nothing). It walks its
+			// arcs source by source from graph.ArcSource(lo), so a stolen
+			// chunk may start inside a hub's adjacency list; u's root and
+			// coin are read once per source.
 			hook := func(lo, hi, w int) {
 				sh := rec.Shard(w)
 				progress, cross := false, false
-				for j := lo; j < hi; j++ {
-					u := arcSrc[j]
+				for u, j := k.g.ArcSource(lo), lo; j < hi; u++ {
+					end := min(int(offsets[u+1]), hi)
 					ru := dprev[u]
 					if dprev[ru] != ru {
+						j = end
 						continue // u's parent is not a root
 					}
-					rv := dprev[targets[j]]
-					if dprev[rv] != rv || ru == rv {
-						continue // v's parent is not a root, or same tree
-					}
-					cross = true
-					if !coin(seed, it, ru) || coin(seed, it, rv) {
-						continue // not a head-to-tail pairing this iteration
-					}
-					// Winner selection: one hook per head root per iteration.
-					// The bit-packed claim is a fetch-OR ("r hooked" is a
-					// common write); the word claim stamps the round id.
-					var o cw.Outcome
-					if k.bitmap {
-						o = k.hookBits.TryClaimBitOutcome(int(ru))
-					} else {
-						o = k.cells.TryClaimOutcome(int(ru), round)
-					}
-					if sh.Claim(int(ru), round, o) && k.commit(int(ru), uint32(j), rv) {
-						progress = true
+					head := coin(seed, it, ru)
+					for ; j < end; j++ {
+						rv := dprev[targets[j]]
+						if dprev[rv] != rv || ru == rv {
+							continue // v's parent is not a root, or same tree
+						}
+						cross = true
+						if !head || coin(seed, it, rv) {
+							continue // not a head-to-tail pairing this iteration
+						}
+						// Winner selection: one hook per head root per
+						// iteration. The bit-packed claim is a fetch-OR ("r
+						// hooked" is a common write); the word claim stamps
+						// the round id.
+						var o cw.Outcome
+						if k.bitmap {
+							o = k.hookBits.TryClaimBitOutcome(int(ru))
+						} else {
+							o = k.cells.TryClaimOutcome(int(ru), round)
+						}
+						if sh.Claim(int(ru), round, o) && k.commit(int(ru), uint32(j), rv) {
+							progress = true
+						}
 					}
 				}
 				if progress {
@@ -131,9 +139,9 @@ func (k *Kernel) RunRandMateExec(e machine.Exec, seed uint64) Result {
 				}
 			}
 			if k.steal {
-				ctx.StealRange(len(arcSrc), hook)
+				ctx.StealRange(len(targets), hook)
 			} else {
-				ctx.Range(len(arcSrc), hook)
+				ctx.Range(len(targets), hook)
 			}
 
 			k.shortcut(ctx, changed, it)

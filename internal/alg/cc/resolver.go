@@ -2,9 +2,7 @@ package cc
 
 import (
 	"crcwpram/internal/core/cw"
-	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
-	"crcwpram/internal/core/metrics"
 )
 
 // RunResolver executes Awerbuch–Shiloach with the hooking write handled by
@@ -27,21 +25,5 @@ func (k *Kernel) RunResolverExec(e machine.Exec, r cw.Resolver) Result {
 	if r.Len() < k.n {
 		panic("cc: resolver smaller than the vertex set")
 	}
-	needsReset := r.Method().NeedsReset()
-	return k.runExec(e,
-		func(round uint32) hookFunc {
-			return func(sh *metrics.Shard, root int, j, target uint32) bool {
-				won := false
-				o := r.DoOutcome(root, round, func() { won = k.commit(root, j, target) })
-				sh.Claim(root, round, o)
-				return won
-			}
-		},
-		false,
-		func(ctx exec.Ctx) {
-			if needsReset {
-				ctx.Range(k.n, func(lo, hi, _ int) { r.ResetRange(lo, hi) })
-			}
-		},
-	)
+	return k.runExec(e, r.Method(), r)
 }

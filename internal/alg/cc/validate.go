@@ -76,7 +76,7 @@ func Validate(g *graph.Graph, r Result) error {
 		if int(e) >= g.NumArcs() {
 			return fmt.Errorf("cc: hookEdge[%d] = %d out of range", v, e)
 		}
-		src := arcSource(g.Offsets(), e)
+		src := uint32(g.ArcSource(int(e)))
 		dst := targets[e]
 		a, b := find(src), find(dst)
 		if a == b {
@@ -95,19 +95,4 @@ func Validate(g *graph.Graph, r Result) error {
 		}
 	}
 	return nil
-}
-
-// arcSource finds the source vertex of CSR arc e by binary search over the
-// offsets array.
-func arcSource(offsets []uint32, e uint32) uint32 {
-	lo, hi := 0, len(offsets)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if offsets[mid] <= e {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return uint32(lo)
 }

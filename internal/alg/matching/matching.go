@@ -69,7 +69,6 @@ type Kernel struct {
 	mateEdge []uint32
 	proposer []uint32 // per tail: winning head
 	propArc  []uint32 // per tail: arc the proposal arrived by
-	arcSrc   []uint32
 
 	propCells   *cw.Array // level-1 guard: one per tail
 	acceptCells *cw.Array // level-2 guard: one per head
@@ -108,16 +107,9 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 		mateEdge:    make([]uint32, n),
 		proposer:    make([]uint32, n),
 		propArc:     make([]uint32, n),
-		arcSrc:      make([]uint32, g.NumArcs()),
 		propCells:   cw.NewArray(n, cw.Packed),
 		acceptCells: cw.NewArray(n, cw.Packed),
 	}
-	offsets := g.Offsets()
-	m.ParallelFor(n, func(v int) {
-		for j := offsets[v]; j < offsets[v+1]; j++ {
-			k.arcSrc[j] = uint32(v)
-		}
-	})
 	return k
 }
 
@@ -200,7 +192,7 @@ func (k *Kernel) Run(seed uint64) Result {
 // word is the region's rotating Flag.
 func (k *Kernel) RunExec(e machine.Exec, seed uint64) Result {
 	maxIter := 8*bits.Len(uint(k.g.NumArcs()+2)) + 64
-	targets := k.g.Targets()
+	offsets, targets := k.g.Offsets(), k.g.Targets()
 	var rounds uint32
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
 		rec := ctx.Metrics()
@@ -218,33 +210,43 @@ func (k *Kernel) RunExec(e machine.Exec, seed uint64) Result {
 
 			// Level 1 — propose: heads race on each live tail's slot. The
 			// liveness flag is accumulated per share (or per stolen chunk —
-			// the flag set is an idempotent common write either way).
+			// the flag set is an idempotent common write either way). Each
+			// share or chunk is walked source by source from
+			// graph.ArcSource(lo), skipping dead sources' lists.
 			propose := func(lo, hi, w int) {
 				sh := rec.Shard(w)
 				sawLive := false
-				for j := lo; j < hi; j++ {
-					u := k.arcSrc[j]
-					v := targets[j]
-					if k.bitmap {
-						if k.deadBits.Test(int(u)) || k.deadBits.Test(int(v)) || u == v {
+				for src, j := k.g.ArcSource(lo), lo; j < hi; src++ {
+					end := min(int(offsets[src+1]), hi)
+					u := uint32(src)
+					if k.bitmap && k.deadBits.Test(src) || !k.bitmap && k.alive[u] == 0 {
+						j = end
+						continue
+					}
+					uHead := head(seed, it, u)
+					for ; j < end; j++ {
+						v := targets[j]
+						if k.bitmap {
+							if k.deadBits.Test(int(v)) || u == v {
+								continue
+							}
+						} else if k.alive[v] == 0 || u == v {
 							continue
 						}
-					} else if k.alive[u] == 0 || k.alive[v] == 0 || u == v {
-						continue
-					}
-					sawLive = true
-					if !head(seed, it, u) || head(seed, it, v) {
-						continue
-					}
-					var o cw.Outcome
-					if k.bitmap {
-						o = k.propBits.TryClaimBitOutcome(int(v))
-					} else {
-						o = k.propCells.TryClaimOutcome(int(v), round)
-					}
-					if sh.Claim(int(v), round, o) {
-						k.proposer[v] = u
-						k.propArc[v] = uint32(j)
+						sawLive = true
+						if !uHead || head(seed, it, v) {
+							continue
+						}
+						var o cw.Outcome
+						if k.bitmap {
+							o = k.propBits.TryClaimBitOutcome(int(v))
+						} else {
+							o = k.propCells.TryClaimOutcome(int(v), round)
+						}
+						if sh.Claim(int(v), round, o) {
+							k.proposer[v] = u
+							k.propArc[v] = uint32(j)
+						}
 					}
 				}
 				if sawLive {
@@ -252,9 +254,9 @@ func (k *Kernel) RunExec(e machine.Exec, seed uint64) Result {
 				}
 			}
 			if k.steal {
-				ctx.StealRange(len(k.arcSrc), propose)
+				ctx.StealRange(len(targets), propose)
 			} else {
-				ctx.Range(len(k.arcSrc), propose)
+				ctx.Range(len(targets), propose)
 			}
 
 			// Level 2 — accept: proposed-to tails race on their proposer's
@@ -342,7 +344,7 @@ func Validate(g *graph.Graph, r Result) error {
 			return fmt.Errorf("matching: pair (%d,%d) disagrees on mate edge: %d vs %d (torn payload)", v, m, e, r.MateEdge[m])
 		}
 		// The arc must join exactly this pair.
-		src := arcSource(offsets, e)
+		src := uint32(g.ArcSource(int(e)))
 		dst := targets[e]
 		if !(src == uint32(v) && dst == m) && !(src == m && dst == uint32(v)) {
 			return fmt.Errorf("matching: mate edge %d joins (%d,%d), not (%d,%d)", e, src, dst, v, m)
@@ -392,19 +394,4 @@ func SequentialGreedy(g *graph.Graph) Result {
 		}
 	}
 	return Result{Mate: mate, MateEdge: mateEdge, Iterations: 1}
-}
-
-// arcSource finds the source vertex of CSR arc e by binary search over the
-// offsets array.
-func arcSource(offsets []uint32, e uint32) uint32 {
-	lo, hi := 0, len(offsets)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if offsets[mid] <= e {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return uint32(lo)
 }

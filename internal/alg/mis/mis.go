@@ -44,7 +44,6 @@ type Kernel struct {
 	live      []uint32
 	inSet     []uint32
 	joins     []uint32
-	arcSrc    []uint32
 	arcBounds []int // equal-arc vertex shards for the select phases
 
 	cells *cw.Array
@@ -64,30 +63,20 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 	}
 	n := g.NumVertices()
 	k := &Kernel{
-		m:      m,
-		g:      g,
-		n:      n,
-		live:   make([]uint32, n),
-		inSet:  make([]uint32, n),
-		joins:  make([]uint32, n),
-		arcSrc: make([]uint32, g.NumArcs()),
-		cells:  cw.NewArray(n, cw.Packed),
-		gates:  cw.NewGateArray(n, cw.Packed),
-		mtx:    cw.NewMutexArray(n),
+		m:     m,
+		g:     g,
+		n:     n,
+		live:  make([]uint32, n),
+		inSet: make([]uint32, n),
+		joins: make([]uint32, n),
+		cells: cw.NewArray(n, cw.Packed),
+		gates: cw.NewGateArray(n, cw.Packed),
+		mtx:   cw.NewMutexArray(n),
 	}
-	// Both the arc-source precompute and every select phase walk each
-	// vertex's whole adjacency list, so they are sharded by arcs
-	// (graph.ArcBounds), not vertices; the shards are static for the
-	// kernel's lifetime and shared by every backend.
+	// Every select phase walks each vertex's whole adjacency list, so it is
+	// sharded by arcs (graph.ArcBounds), not vertices; the shards are static
+	// for the kernel's lifetime and shared by every backend.
 	k.arcBounds = graph.ArcBounds(g, m.P())
-	offsets := g.Offsets()
-	m.ParallelBounds(k.arcBounds, func(lo, hi, _ int) {
-		for v := lo; v < hi; v++ {
-			for j := offsets[v]; j < offsets[v+1]; j++ {
-				k.arcSrc[j] = uint32(v)
-			}
-		}
-	})
 	return k
 }
 
@@ -197,17 +186,21 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method, seed uint64) []uint32
 
 			// Kill neighbourhoods: the common concurrent write under study.
 			// Arcs out of fresh set members all store "dead" into the
-			// neighbour's cell.
-			ctx.Range(len(k.arcSrc), func(lo, hi, w int) {
+			// neighbour's cell. Each share of the arcs is walked source by
+			// source from graph.ArcSource(lo), skipping non-members' lists.
+			ctx.Range(len(targets), func(lo, hi, w int) {
 				sh := rec.Shard(w)
-				for j := lo; j < hi; j++ {
-					u := k.arcSrc[j]
+				for u, j := k.g.ArcSource(lo), lo; j < hi; u++ {
+					end := min(int(offsets[u+1]), hi)
 					if k.inSet[u] == 0 {
+						j = end
 						continue
 					}
-					v := targets[j]
-					if atomic.LoadUint32(&k.live[v]) == 1 {
-						kill(sh, int(v), round)
+					for ; j < end; j++ {
+						v := targets[j]
+						if atomic.LoadUint32(&k.live[v]) == 1 {
+							kill(sh, int(v), round)
+						}
 					}
 				}
 			})

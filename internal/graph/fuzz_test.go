@@ -75,5 +75,8 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := validateCSR(g); err != nil {
 			t.Fatalf("accepted graph violates CSR invariants: %v", err)
 		}
+		if msg := arcSourceMismatch(g); msg != "" {
+			t.Fatal(msg)
+		}
 	})
 }

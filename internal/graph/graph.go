@@ -66,6 +66,23 @@ func (g *Graph) Offsets() []uint32 { return g.offsets }
 // and must not be modified.
 func (g *Graph) Targets() []uint32 { return g.targets }
 
+// ArcSource returns the source vertex of arc j (0 <= j < NumArcs()): the
+// one v with offsets[v] <= j < offsets[v+1], found by binary search of the
+// offsets. An arc-parallel loop calls it once per share and then walks
+// forward source by source, so no per-arc source array is needed.
+func (g *Graph) ArcSource(j int) int {
+	lo, hi := 0, g.NumVertices() // offsets[lo] <= j < offsets[hi]
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if int(g.offsets[mid]) <= j {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Edge is one undirected edge (or directed arc) between U and V.
 type Edge struct {
 	U, V uint32

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +248,39 @@ func TestQuickCSRInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// arcSourceMismatch compares ArcSource with a naive per-arc source array
+// on every arc of g and describes the first disagreement, or returns "".
+func arcSourceMismatch(g *Graph) string {
+	j := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		for range g.Neighbors(uint32(v)) {
+			if got := g.ArcSource(j); got != v {
+				return fmt.Sprintf("ArcSource(%d) = %d, want %d", j, got, v)
+			}
+			j++
+		}
+	}
+	return ""
+}
+
+func TestArcSource(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *Graph
+	}{
+		// Vertices 0, 4 and 8 have degree 0: the search must step over
+		// runs of equal offsets at the front, middle and end.
+		{"isolated first/middle/last", MustFromEdges(9, []Edge{{1, 2}, {2, 3}, {3, 1}, {5, 6}, {6, 7}, {7, 7}}, true)},
+		{"star", Star(33)},
+		{"grid", Grid2D(7, 5)},
+		{"rmat multigraph", RMAT(9, 4000, 0.57, 0.19, 0.19, 5)},
+	}
+	for _, c := range cases {
+		if msg := arcSourceMismatch(c.g); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package integration
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
+	"crcwpram/internal/graph"
 	"crcwpram/internal/kernel"
 )
 
@@ -79,6 +81,33 @@ func TestRegistryCompleteness(t *testing.T) {
 	for pkg, names := range byPkg {
 		if !dirs[pkg] {
 			t.Errorf("kernels %v claim package %q, which is not under internal/alg", names, pkg)
+		}
+	}
+}
+
+// TestRegistryGraphKernelsAllocateLittle bounds what every graph kernel's
+// constructor allocates: under 48 bytes per vertex on a 20,000-vertex,
+// 200,000-edge graph. One uint32 per arc alone is 80 bytes per vertex
+// there, so no kernel may keep an array per arc. A kernel added by a
+// single Register call inherits the bound.
+func TestRegistryGraphKernelsAllocateLittle(t *testing.T) {
+	const n, maxPerVertex = 20_000, 48
+	g := graph.RandomUndirected(n, 200_000, 1)
+	m := machine.New(2)
+	defer m.Close()
+	for _, d := range kernel.All() {
+		if d.Input != kernel.InputGraph {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		in := d.New(m, kernel.Workload{Graph: g, Seed: 1})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(in)
+		if perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n; perVertex >= maxPerVertex {
+			t.Errorf("%s: New allocates %.1f B/vertex, want < %d", d.Name, perVertex, maxPerVertex)
+		} else {
+			t.Logf("%s: New allocates %.1f B/vertex", d.Name, perVertex)
 		}
 	}
 }
