@@ -357,7 +357,7 @@ func BenchmarkExtensionMaxWorkDepth(b *testing.B) {
 		{"doubly-log-crcw", func() int { return maxfind.DoublyLogMax(m, list) }},
 		{"constant-time-crcw", func() int {
 			k.Prepare(list)
-			return k.RunCASLT()
+			return k.Run(cw.CASLT)
 		}},
 	}
 	want := maxfind.Sequential(list)
@@ -457,7 +457,7 @@ func BenchmarkAblationBFSFrontier(b *testing.B) {
 					k.Prepare(0)
 					b.StartTimer()
 					if variant == "sweep" {
-						k.RunCASLT()
+						k.Run(cw.CASLT)
 					} else {
 						k.RunCASLTFrontier()
 					}

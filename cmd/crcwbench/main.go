@@ -151,9 +151,10 @@
 //
 //	-opcount        the Section-6 validation: atomic operations per
 //	                concurrent-write step on one cell, as P_PRAM grows
-//	-kernelops      selection-protocol operation counts over full BFS and
-//	                CC runs (counting resolvers composed with the trace
-//	                execution backend); combinable with -json
+//	-kernelops      selection-protocol operation counts over a full run of
+//	                every kernel with a Section-6 method (the claims the
+//	                trace backend's replay records on the metrics shards);
+//	                combinable with -json
 //	-kerneltrace    structural cost (steps, barriers, CW rounds, per-worker
 //	                iteration split) of every kernel of the suite under the
 //	                trace backend; combinable with -json
@@ -242,7 +243,7 @@ func run(args []string) (err error) {
 		chaosSpec     = fs.String("chaos", "", "run the adversarial-schedule chaos matrix over every registered kernel and exit; value is seed=S1+S2+...,faults=F1+F2+... (faults: stall, jitter, steal-delay, storm, sticky-loser, all; empty value parts default to seeds 1+2+3 and all faults, so -chaos default works)")
 		runSelector   = fs.String("run", "", "run one kernel under one axis assignment, e.g. kernel=bfs,method=caslt,exec=team,threads=4; runs nothing else")
 		opcount       = fs.Bool("opcount", false, "run the Section-6 atomic-operation-count validation instead of a timing figure")
-		kernelops     = fs.Bool("kernelops", false, "count selection-protocol operations over full BFS/CC runs (trace backend) instead of timing")
+		kernelops     = fs.Bool("kernelops", false, "count selection-protocol operations over full kernel runs (trace backend, metrics shards) instead of timing")
 		kerneltrace   = fs.Bool("kerneltrace", false, "report every kernel's structural cost (steps, barriers, rounds) under the trace backend")
 		metricsTable  = fs.Bool("metrics", false, "run every kernel on a metrics-enabled machine and report live contention (CAS attempts/wins/losses, pre-check skips, max RMWs per cell per round, busy/barrier time split) per listed timed exec mode")
 		metricsJSON   = fs.String("metricsjson", "", "write the -metrics contention rows alone as JSON to this file (implies -metrics)")

@@ -69,7 +69,7 @@ func main() {
 
 	// The hook records double as a spanning forest — count its edges.
 	k.Prepare()
-	res := k.RunCASLT()
+	res := k.Run(cw.CASLT)
 	hooks := 0
 	for _, e := range res.HookEdge {
 		if e != cc.NoHook {

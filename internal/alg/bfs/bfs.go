@@ -162,9 +162,8 @@ func (k *Kernel) Stealing() bool { return k.steal }
 // winner selection still picks exactly one tuple writer per vertex). Like
 // balance and stealing this changes the memory representation of who-saw-
 // what, never which vertex gets which level, so results are byte-identical
-// to the word-per-vertex runs. The push level-sweep variants (RunCASLT,
-// gatekeeper, naive, mutex) ignore it. Call it before Prepare, not during
-// a run.
+// to the word-per-vertex runs. The push level-sweep variants (Run) ignore
+// it. Call it before Prepare, not during a run.
 func (k *Kernel) SetBitmap(on bool) { k.bitmap = on }
 
 // Bitmap returns whether the pull/hybrid/frontier variants use bit-packed
@@ -247,6 +246,13 @@ func (k *Kernel) Prepare(source uint32) {
 // Run executes BFS with the given method under the machine's default
 // execution backend. Prepare must have been called first; a Result view
 // over the kernel's arrays is returned (valid until the next Prepare/Run).
+// cw.CASLT is Figure 3(a): canConWriteCASLT(&RoundWritten[u], L+1) guards
+// each discovery tuple. cw.Gatekeeper is Figure 3(b):
+// canConWriteAtomic(&gatekeeper[u]) guards it, and a parallel pass
+// re-zeroes every gate after each level, inside the timed region;
+// cw.GatekeeperChecked adds the paper's load pre-check. cw.Naive is the
+// unmodified Rodinia code, whose Parent and SelEdge may be torn (see
+// package comment); cw.Mutex writes the tuple under the target's lock.
 func (k *Kernel) Run(method cw.Method) Result {
 	return k.RunExec(k.m.Exec(), method)
 }
@@ -255,15 +261,15 @@ func (k *Kernel) Run(method cw.Method) Result {
 func (k *Kernel) RunExec(e machine.Exec, method cw.Method) Result {
 	switch method {
 	case cw.CASLT:
-		return k.RunCASLTExec(e)
+		return k.runCASLT(e)
 	case cw.Gatekeeper:
 		return k.runGate(e, false)
 	case cw.GatekeeperChecked:
 		return k.runGate(e, true)
 	case cw.Naive:
-		return k.RunNaiveExec(e)
+		return k.runNaive(e)
 	case cw.Mutex:
-		return k.RunMutexExec(e)
+		return k.runMutex(e)
 	default:
 		panic("bfs: unknown method " + method.String())
 	}
@@ -325,13 +331,7 @@ func (k *Kernel) runLevels(e machine.Exec, sweep func(lo, hi, w int, L, round ui
 	return depth
 }
 
-// RunCASLT is Figure 3(a): the concurrent write of each discovery tuple is
-// guarded by canConWriteCASLT(&RoundWritten[u], L+1); the level counter is
-// the round id.
-func (k *Kernel) RunCASLT() Result { return k.RunCASLTExec(k.m.Exec()) }
-
-// RunCASLTExec is RunCASLT under an explicit execution backend.
-func (k *Kernel) RunCASLTExec(e machine.Exec) Result {
+func (k *Kernel) runCASLT(e machine.Exec) Result {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	depth := k.runLevels(e, func(lo, hi, _ int, L, round uint32, sh *metrics.Shard) bool {
 		progress := false
@@ -358,15 +358,6 @@ func (k *Kernel) RunCASLTExec(e machine.Exec) Result {
 	k.base += depth + 1
 	return k.result(int(depth))
 }
-
-// RunGatekeeper is Figure 3(b): canConWriteAtomic(&gatekeeper[u]) guards
-// the tuple, and after every level the whole gatekeeper array is re-zeroed
-// in a parallel pass — inside the timed region, as in the listing.
-func (k *Kernel) RunGatekeeper() Result { return k.runGate(k.m.Exec(), false) }
-
-// RunGateChecked is RunGatekeeper with the load pre-check mitigation the
-// paper suggests (skip the atomic once the gatekeeper is non-zero).
-func (k *Kernel) RunGateChecked() Result { return k.runGate(k.m.Exec(), true) }
 
 func (k *Kernel) runGate(e machine.Exec, checked bool) Result {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
@@ -401,15 +392,7 @@ func (k *Kernel) runGate(e machine.Exec, checked bool) Result {
 	return k.result(int(depth))
 }
 
-// RunNaive reproduces the unmodified Rodinia approach: every discoverer
-// writes the whole tuple with plain stores and the memory system picks the
-// survivors, field by field. Levels are a common CW (all discoverers write
-// L+1) and therefore correct; Parent and SelEdge are arbitrary CWs and may
-// be torn across fields (see package comment).
-func (k *Kernel) RunNaive() Result { return k.RunNaiveExec(k.m.Exec()) }
-
-// RunNaiveExec is RunNaive under an explicit execution backend.
-func (k *Kernel) RunNaiveExec(e machine.Exec) Result {
+func (k *Kernel) runNaive(e machine.Exec) Result {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	depth := k.runLevels(e, func(lo, hi, _ int, L, round uint32, sh *metrics.Shard) bool {
 		progress := false
@@ -436,13 +419,7 @@ func (k *Kernel) RunNaiveExec(e machine.Exec) Result {
 	return k.result(int(depth))
 }
 
-// RunMutex is the critical-section baseline: the whole discovery tuple is
-// written under the target vertex's lock, with the visited test inside the
-// lock so each vertex is discovered exactly once.
-func (k *Kernel) RunMutex() Result { return k.RunMutexExec(k.m.Exec()) }
-
-// RunMutexExec is RunMutex under an explicit execution backend.
-func (k *Kernel) RunMutexExec(e machine.Exec) Result {
+func (k *Kernel) runMutex(e machine.Exec) Result {
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	depth := k.runLevels(e, func(lo, hi, _ int, L, round uint32, sh *metrics.Shard) bool {
 		progress := false

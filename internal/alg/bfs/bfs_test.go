@@ -90,7 +90,7 @@ func TestNaiveMatchesSequentialLevels(t *testing.T) {
 	for name, g := range testGraphs() {
 		k := NewKernel(m, g)
 		k.Prepare(0)
-		r := k.RunNaive()
+		r := k.Run(cw.Naive)
 		// Non-strict: levels exact, parent/edge independently valid, tuple
 		// may be torn.
 		if err := Validate(g, 0, r, false); err != nil {
@@ -108,7 +108,7 @@ func TestCASLTRepeatedRunsNoCellReset(t *testing.T) {
 	for rep := 0; rep < 10; rep++ {
 		src := uint32(rep * 11 % g.NumVertices())
 		k.Prepare(src)
-		r := k.RunCASLT()
+		r := k.Run(cw.CASLT)
 		if err := Validate(g, src, r, true); err != nil {
 			t.Fatalf("rep %d src %d: %v", rep, src, err)
 		}
@@ -122,7 +122,7 @@ func TestGatekeeperRepeatedRuns(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		src := uint32(rep * 7 % g.NumVertices())
 		k.Prepare(src)
-		r := k.RunGatekeeper()
+		r := k.Run(cw.Gatekeeper)
 		if err := Validate(g, src, r, true); err != nil {
 			t.Fatalf("rep %d src %d: %v", rep, src, err)
 		}
@@ -154,7 +154,7 @@ func TestDepthValues(t *testing.T) {
 	for _, c := range cases {
 		k := NewKernel(m, c.g)
 		k.Prepare(0)
-		if r := k.RunCASLT(); r.Depth != c.want {
+		if r := k.Run(cw.CASLT); r.Depth != c.want {
 			t.Fatalf("depth = %d, want %d", r.Depth, c.want)
 		}
 	}
@@ -167,7 +167,7 @@ func TestValidateRejectsCorruptedResults(t *testing.T) {
 
 	corrupt := func(f func(r Result)) error {
 		k.Prepare(0)
-		r := k.RunCASLT()
+		r := k.Run(cw.CASLT)
 		f(r)
 		return Validate(g, 0, r, true)
 	}

@@ -3,6 +3,7 @@ package bfs
 import (
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/graph"
 )
 
@@ -19,7 +20,7 @@ func TestBitmapVariantsMatchWord(t *testing.T) {
 				k := NewKernel(m, g)
 				k.SetBalance(bal)
 				k.Prepare(0)
-				push := k.RunCASLT()
+				push := k.Run(cw.CASLT)
 				pushLevels := append([]uint32(nil), push.Level...)
 				push.Level = pushLevels
 				k.SetBitmap(true)

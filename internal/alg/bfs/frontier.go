@@ -238,10 +238,15 @@ func (k *Kernel) newLevelLoop(ctx exec.Ctx) *levelLoop {
 }
 
 // load makes level L current and returns its frontier size. Call it after
-// level L-1's closing barrier.
+// level L-1's closing barrier. A non-empty level is one CW round, whose
+// claims carry the level's round id; worker 0 credits it to the recorder.
 func (l *levelLoop) load(L uint32) int {
 	l.L, l.round = L, l.k.base+L+1
-	return l.f.load(l.k.disc[L&1], L)
+	nf := l.f.load(l.k.disc[L&1], L)
+	if nf > 0 && l.ctx.Worker() == 0 {
+		l.rec.AddRounds(1)
+	}
+	return nf
 }
 
 // out returns worker w's buffer for the current level's discoveries.

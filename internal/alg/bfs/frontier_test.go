@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
@@ -27,7 +28,7 @@ func TestFrontierAgreesWithSweepVariant(t *testing.T) {
 	g := graph.ConnectedRandom(300, 1500, 13)
 	k := NewKernel(m, g)
 	k.Prepare(5)
-	sweep := k.RunCASLT()
+	sweep := k.Run(cw.CASLT)
 	sweepLevels := append([]uint32(nil), sweep.Level...)
 	k.Prepare(5)
 	front := k.RunCASLTFrontier()
@@ -66,7 +67,7 @@ func TestFrontierInterleavedWithOtherVariants(t *testing.T) {
 		if rep%2 == 0 {
 			r = k.RunCASLTFrontier()
 		} else {
-			r = k.RunCASLT()
+			r = k.Run(cw.CASLT)
 		}
 		if err := Validate(g, 0, r, true); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)

@@ -3,6 +3,7 @@ package bfs
 import (
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
@@ -30,7 +31,7 @@ func BenchmarkMetricsOverheadBFS(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.Prepare(0)
-				k.RunCASLTExec(machine.ExecTeam)
+				k.RunExec(machine.ExecTeam, cw.CASLT)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package bfs
 import (
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
@@ -51,7 +52,7 @@ func TestPullHybridMatchPush(t *testing.T) {
 				k := NewKernel(m, g)
 				k.SetBalance(bal)
 				k.Prepare(0)
-				push := k.RunCASLT()
+				push := k.Run(cw.CASLT)
 				pushLevels := append([]uint32(nil), push.Level...)
 				push.Level = pushLevels
 				runs := map[string]func() Result{
@@ -87,7 +88,7 @@ func TestPullHybridNonZeroSource(t *testing.T) {
 			k := NewKernel(m, tc.g)
 			k.SetBalance(bal)
 			k.Prepare(tc.src)
-			push := k.RunCASLT()
+			push := k.Run(cw.CASLT)
 			pushLevels := append([]uint32(nil), push.Level...)
 			push.Level = pushLevels
 			for kind, run := range map[string]func() Result{
@@ -113,7 +114,7 @@ func TestEdgeBalancedPushMatchesVertex(t *testing.T) {
 			k := NewKernel(m, gr)
 			k.SetBalance(graph.BalanceEdge)
 			k.Prepare(0)
-			if err := Validate(gr, 0, k.RunCASLT(), true); err != nil {
+			if err := Validate(gr, 0, k.Run(cw.CASLT), true); err != nil {
 				t.Fatalf("p=%d %s edge sweep: %v", p, name, err)
 			}
 			k.Prepare(0)
@@ -121,7 +122,7 @@ func TestEdgeBalancedPushMatchesVertex(t *testing.T) {
 				t.Fatalf("p=%d %s edge frontier: %v", p, name, err)
 			}
 			k.Prepare(0)
-			if err := Validate(gr, 0, k.RunCASLTExec(machine.ExecTeam), true); err != nil {
+			if err := Validate(gr, 0, k.RunExec(machine.ExecTeam, cw.CASLT), true); err != nil {
 				t.Fatalf("p=%d %s edge team sweep: %v", p, name, err)
 			}
 			k.Prepare(0)

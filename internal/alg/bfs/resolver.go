@@ -10,11 +10,10 @@ import (
 
 // RunResolver executes the Figure 3 BFS with the concurrent write handled
 // by an arbitrary cw.Resolver, under the machine's default execution
-// backend. It is the generic entry point: slightly slower than the
-// specialized Run* variants (one closure per winning write), and therefore
-// not what the timing figures use, but it composes with any resolver — in
-// particular cw.NewCountingResolver, which is how the harness measures the
-// atomic traffic of a whole BFS run per method.
+// backend. It is the generic entry point: slightly slower than Run (one
+// closure per winning write), and therefore not what the timing figures
+// use, but it composes with any resolver — in particular the chaos
+// matrix's sticky-loser resolver, which re-drives lost claims.
 //
 // The resolver must be fresh (or ResetRange over all targets must have
 // been applied) and must span the graph's vertices. Prepare must have been
@@ -24,11 +23,8 @@ func (k *Kernel) RunResolver(r cw.Resolver) Result {
 }
 
 // RunResolverExec is RunResolver under an explicit execution backend.
-// Combined with ExecTrace it yields both the resolver's operation counts
-// and the kernel's structural trace in one deterministic replay. Round ids
-// passed to the resolver restart at 1 for every call, so a CAS-LT-backed
-// resolver must not be reused across calls (counting resolvers are
-// per-experiment anyway).
+// Round ids passed to the resolver restart at 1 for every call, so a
+// CAS-LT-backed resolver must not be reused across calls.
 func (k *Kernel) RunResolverExec(e machine.Exec, r cw.Resolver) Result {
 	if r.Len() < k.n {
 		panic("bfs: resolver smaller than the vertex set")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crcwpram/internal/core/cw"
+	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
 
@@ -21,22 +22,30 @@ func TestRunResolverAllMethods(t *testing.T) {
 	}
 }
 
+// TestRunResolverCountsMatchRun checks that the generic-resolver path
+// records the same winners on the metrics shards as Run: every vertex
+// except the source is discovered by exactly one win.
 func TestRunResolverCountsMatchRun(t *testing.T) {
-	m := testMachine(t, 4)
+	m := machine.New(4, machine.WithMetrics())
+	t.Cleanup(m.Close)
 	g := graph.ConnectedRandom(150, 500, 43)
 	k := NewKernel(m, g)
-
-	var ops cw.OpCounts
-	r := cw.NewCountingResolver(cw.CASLT, g.NumVertices(), &ops)
-	k.Prepare(0)
-	res := k.RunResolver(r)
-	if err := Validate(g, 0, res, true); err != nil {
-		t.Fatal(err)
+	runs := []struct {
+		name string
+		run  func() Result
+	}{
+		{"RunResolver", func() Result { return k.RunResolver(cw.NewResolver(cw.CASLT, g.NumVertices(), cw.Packed)) }},
+		{"Run", func() Result { return k.Run(cw.CASLT) }},
 	}
-	_, _, wins := ops.Snapshot()
-	// Every vertex except the source is discovered by exactly one win.
-	if want := uint64(g.NumVertices() - 1); wins != want {
-		t.Fatalf("wins = %d, want %d", wins, want)
+	for _, r := range runs {
+		k.Prepare(0)
+		m.Metrics().Reset()
+		if err := Validate(g, 0, r.run(), true); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if wins, want := m.Snapshot().CASWins, uint64(g.NumVertices()-1); wins != want {
+			t.Fatalf("%s: wins = %d, want %d", r.name, wins, want)
+		}
 	}
 }
 

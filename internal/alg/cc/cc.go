@@ -176,8 +176,13 @@ func (k *Kernel) Prepare() {
 // Run executes the algorithm with the given method under the machine's
 // default execution backend and returns a Result view over the kernel's
 // arrays (valid until the next Prepare/Run). Prepare must have been called
-// first. Run panics for cw.Naive: naive arbitrary concurrent writes are
-// unsafe (see package comment).
+// first. cw.CASLT claims the hooked root's cell with a round id from the
+// region round counter, so no state is re-initialized; cw.Gatekeeper
+// fetch-and-adds the root's gate and re-zeroes every gate after each
+// hooking phase, inside the timed region; cw.GatekeeperChecked adds the
+// load pre-check; cw.Mutex hooks under the root's lock. Run panics for
+// cw.Naive: naive arbitrary concurrent writes are unsafe (see package
+// comment).
 func (k *Kernel) Run(method cw.Method) Result {
 	return k.RunExec(k.m.Exec(), method)
 }
@@ -434,26 +439,6 @@ func (k *Kernel) commit(r int, j, target uint32) bool {
 	k.hookEdge[r] = j
 	return true
 }
-
-// RunCASLT guards each hooking write with a CAS-LT claim on the root's
-// cell; the per-phase round id is derived from the region round counter,
-// so no auxiliary state is ever re-initialized.
-func (k *Kernel) RunCASLT() Result { return k.Run(cw.CASLT) }
-
-// RunGatekeeper guards each hooking write with an atomic fetch-and-add
-// gatekeeper per root, and re-zeroes the whole gatekeeper array after
-// every hooking phase — the O(N)-work re-initialization pass the method
-// requires, inside the timed region.
-func (k *Kernel) RunGatekeeper() Result { return k.Run(cw.Gatekeeper) }
-
-// RunGateChecked is RunGatekeeper with the load pre-check mitigation.
-func (k *Kernel) RunGateChecked() Result { return k.Run(cw.GatekeeperChecked) }
-
-// RunMutex serializes each root's hooking writes behind the root's lock;
-// the first writer to commit wins (the root re-verification makes later
-// writers skip), and the tuple stays consistent because both fields are
-// written inside the critical section.
-func (k *Kernel) RunMutex() Result { return k.Run(cw.Mutex) }
 
 // SequentialLabels computes component labels with a union-find (path
 // halving + union by smaller id), the validation baseline. Labels are the

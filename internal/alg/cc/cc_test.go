@@ -71,7 +71,7 @@ func TestCASLTRepeatedRunsNoCellReset(t *testing.T) {
 	k := NewKernel(m, g)
 	for rep := 0; rep < 10; rep++ {
 		k.Prepare()
-		r := k.RunCASLT()
+		r := k.Run(cw.CASLT)
 		if err := Validate(g, r); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -84,7 +84,7 @@ func TestGatekeeperRepeatedRuns(t *testing.T) {
 	k := NewKernel(m, g)
 	for rep := 0; rep < 5; rep++ {
 		k.Prepare()
-		if err := Validate(g, k.RunGatekeeper()); err != nil {
+		if err := Validate(g, k.Run(cw.Gatekeeper)); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestHookForestSizes(t *testing.T) {
 	g := graph.Disjoint(graph.ConnectedRandom(25, 60, 3), 4)
 	k := NewKernel(m, g)
 	k.Prepare()
-	r := k.RunCASLT()
+	r := k.Run(cw.CASLT)
 	hooks := 0
 	for _, e := range r.HookEdge {
 		if e != NoHook {
@@ -157,7 +157,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 
 	fresh := func() Result {
 		k.Prepare()
-		return k.RunCASLT()
+		return k.Run(cw.CASLT)
 	}
 
 	r := fresh()

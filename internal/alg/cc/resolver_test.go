@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crcwpram/internal/core/cw"
+	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
 
@@ -21,19 +22,22 @@ func TestRunResolverAllMethods(t *testing.T) {
 	}
 }
 
+// TestRunResolverCounting checks the claims a gatekeeper resolver records
+// on the metrics shards over a whole run: every attempt is an RMW, none is
+// skipped, and the wins cover the committed hooks.
 func TestRunResolverCounting(t *testing.T) {
-	m := testMachine(t, 4)
+	m := machine.New(4, machine.WithMetrics())
+	t.Cleanup(m.Close)
 	g := graph.ConnectedRandom(150, 500, 59)
 	k := NewKernel(m, g)
 
-	var ops cw.OpCounts
-	r := cw.NewCountingResolver(cw.Gatekeeper, g.NumVertices(), &ops)
 	k.Prepare()
-	res := k.RunResolver(r)
+	m.Metrics().Reset()
+	res := k.RunResolver(cw.NewResolver(cw.Gatekeeper, g.NumVertices(), cw.Packed))
 	if err := Validate(g, res); err != nil {
 		t.Fatal(err)
 	}
-	_, rmws, wins := ops.Snapshot()
+	s := m.Snapshot()
 	// Connected graph: exactly n-1 hooks win across the whole run. The
 	// resolver reports a "win" whenever the gate admits a claimant, which
 	// can exceed committed hooks only via the root re-verification; hook
@@ -47,11 +51,14 @@ func TestRunResolverCounting(t *testing.T) {
 	if hooks != g.NumVertices()-1 {
 		t.Fatalf("hooks = %d, want %d", hooks, g.NumVertices()-1)
 	}
-	if wins < uint64(hooks) {
-		t.Fatalf("resolver wins %d < committed hooks %d", wins, hooks)
+	if s.CASWins < uint64(hooks) {
+		t.Fatalf("resolver wins %d < committed hooks %d", s.CASWins, hooks)
 	}
-	if rmws < wins {
-		t.Fatalf("RMWs %d < wins %d", rmws, wins)
+	if s.CASAttempts < s.CASWins {
+		t.Fatalf("RMWs %d < wins %d", s.CASAttempts, s.CASWins)
+	}
+	if s.PrecheckSkips != 0 {
+		t.Fatalf("the plain gatekeeper skipped %d attempts", s.PrecheckSkips)
 	}
 }
 

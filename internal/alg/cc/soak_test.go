@@ -3,6 +3,7 @@ package cc
 import (
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
@@ -36,11 +37,11 @@ func TestSoakRandomizedGraphs(t *testing.T) {
 			k := NewKernel(m, g)
 
 			k.Prepare()
-			if err := Validate(g, k.RunCASLT()); err != nil {
+			if err := Validate(g, k.Run(cw.CASLT)); err != nil {
 				t.Fatalf("p=%d trial %d caslt: %v", p, trial, err)
 			}
 			k.Prepare()
-			if err := Validate(g, k.RunGatekeeper()); err != nil {
+			if err := Validate(g, k.Run(cw.Gatekeeper)); err != nil {
 				t.Fatalf("p=%d trial %d gatekeeper: %v", p, trial, err)
 			}
 			k.Prepare()

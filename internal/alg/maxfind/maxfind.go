@@ -80,7 +80,13 @@ func (k *Kernel) Prepare(list []uint32) {
 // Run executes the maximum algorithm with the given concurrent-write
 // method under the machine's default execution backend and returns the
 // index of the maximum element. Prepare must have been called for the
-// current input.
+// current input. cw.Naive issues every loser write (a common CW of one
+// word). cw.Gatekeeper is Figure 2: every attempt fetch-and-adds the
+// loser's gate, long after a winner exists — the serialization the paper
+// blames for it losing to naive here; cw.GatekeeperChecked adds the load
+// pre-check. With cw.CASLT the first attempt on each loser cell wins and
+// every later one fails the load pre-check. cw.Mutex takes the loser's
+// lock.
 func (k *Kernel) Run(method cw.Method) int {
 	return k.RunExec(k.m.Exec(), method)
 }
@@ -180,31 +186,6 @@ func (k *Kernel) scan() int {
 	}
 	return max
 }
-
-// RunNaive is the paper's 'naive' version: every loser write is issued and
-// the memory system serializes them. Safe here because the write is a
-// common CW of a single word (all writers store 0), but every one of the
-// ~N² writes goes to memory.
-func (k *Kernel) RunNaive() int { return k.Run(cw.Naive) }
-
-// RunGatekeeper is the atomic prefix-sum version (Figure 2): every loser
-// write attempt performs a fetch-and-add on the loser's gatekeeper; only
-// the first writer stores. The atomic executes on every attempt, long
-// after a winner exists — the serialization the paper blames for this
-// method losing to naive on this kernel.
-func (k *Kernel) RunGatekeeper() int { return k.Run(cw.Gatekeeper) }
-
-// RunGateChecked is RunGatekeeper with the load pre-check mitigation.
-func (k *Kernel) RunGateChecked() int { return k.Run(cw.GatekeeperChecked) }
-
-// RunCASLT is the paper's method: the first attempt on each loser cell
-// wins a CAS-LT claim; every later attempt fails the load pre-check and
-// skips both the atomic and the store.
-func (k *Kernel) RunCASLT() int { return k.Run(cw.CASLT) }
-
-// RunMutex is the critical-section baseline: every loser write acquires the
-// loser's lock.
-func (k *Kernel) RunMutex() int { return k.Run(cw.Mutex) }
 
 // nextRound advances the CAS-LT round, resetting the cells on the rare
 // uint32 wrap so stale claims can never alias.

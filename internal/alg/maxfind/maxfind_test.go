@@ -82,7 +82,7 @@ func TestKernelNaiveMatchesSequential(t *testing.T) {
 			list[i] = uint32(rng.Intn(50))
 		}
 		k.Prepare(list)
-		if got, want := k.RunNaive(), Sequential(list); got != want {
+		if got, want := k.Run(cw.Naive), Sequential(list); got != want {
 			t.Fatalf("n=%d naive: got %d, want %d", n, got, want)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCASLTRepeatedRunsNoCellReset(t *testing.T) {
 			list[i] = uint32(rng.Intn(100))
 		}
 		k.Prepare(list)
-		if got, want := k.RunCASLT(), Sequential(list); got != want {
+		if got, want := k.Run(cw.CASLT), Sequential(list); got != want {
 			t.Fatalf("rep %d: got %d, want %d", rep, got, want)
 		}
 	}
@@ -119,7 +119,7 @@ func TestGatekeeperRequiresReset(t *testing.T) {
 	listA := []uint32{1, 2, 3, 4, 5, 6, 7, 8} // max at 7
 	listB := []uint32{8, 7, 6, 5, 4, 3, 2, 1} // max at 0
 	k.Prepare(listA)
-	if got := k.RunGatekeeper(); got != 7 {
+	if got := k.Run(cw.Gatekeeper); got != 7 {
 		t.Fatalf("first run: got %d, want 7", got)
 	}
 	// Swap the input but skip Prepare: gates are all closed, so no flag
@@ -130,7 +130,7 @@ func TestGatekeeperRequiresReset(t *testing.T) {
 	for i := range k.isMax {
 		k.isMax[i] = 1
 	}
-	if got := k.RunGatekeeper(); got == 0 {
+	if got := k.Run(cw.Gatekeeper); got == 0 {
 		t.Fatal("gatekeeper run without reset still found the new maximum; expected stale gates to lose all writes")
 	}
 }

@@ -18,11 +18,12 @@
 //     sweep (edgebalance.go) and the list-ranking sweep (listrank.go) run
 //     uninstrumented kernels and report wall time.
 //   - COUNTING/OBSERVABILITY (never timings): the Section-6 op-count table
-//     (opcount.go) and the whole-kernel op counts (kernelops.go) run the
-//     test-only counting resolvers under the serial trace backend, and the
-//     live-contention sweep (metrics.go) runs instrumented kernels with the
-//     per-cell probe attached; all three deliberately report operation
-//     counts without ns/op, because their instrumentation perturbs timing.
+//     (opcount.go) and the whole-kernel op counts (kernelops.go) read the
+//     claims a metrics machine records on its shards, the latter from the
+//     serial trace backend's replay, and the live-contention sweep
+//     (metrics.go) runs instrumented kernels with the per-cell probe
+//     attached; all three deliberately report operation counts without
+//     ns/op, because their instrumentation perturbs timing.
 package bench
 
 import (

@@ -41,14 +41,14 @@ type Row struct {
 	Imbalance float64 `json:"imbalance,omitempty"` // WorkCrit / WorkIdeal
 
 	// Counting extras (benches "kernelops" and "kerneltrace"): produced by
-	// the trace execution backend composed with the cw layer's counting
-	// resolvers. These rows carry no timing (NsOp is zero by construction —
+	// the trace execution backend, the kernelops operations from the claims
+	// it records on the metrics shards. These rows carry no timing (NsOp is zero by construction —
 	// a traced replay is not a measurement) but pin the per-run operation
 	// and synchronization totals, which are deterministic and therefore
 	// diffable across commits without noise.
-	Loads     uint64 `json:"loads,omitempty"`      // resolver plain loads
-	RMWs      uint64 `json:"rmws,omitempty"`       // resolver atomic RMWs
-	Wins      uint64 `json:"wins,omitempty"`       // resolver winning writes
+	Loads     uint64 `json:"loads,omitempty"`      // pre-check plain loads
+	RMWs      uint64 `json:"rmws,omitempty"`       // atomic RMWs
+	Wins      uint64 `json:"wins,omitempty"`       // winning writes
 	Steps     uint64 `json:"steps,omitempty"`      // work-shared loops
 	Barriers  uint64 `json:"barriers,omitempty"`   // synchronization points
 	Singles   uint64 `json:"singles,omitempty"`    // serial sections

@@ -10,15 +10,16 @@ import (
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
+	"crcwpram/internal/core/metrics"
 	"crcwpram/internal/graph"
 	"crcwpram/internal/kernel"
 )
 
 // KernelOpRow reports the selection-protocol memory operations one method
 // executed over one full kernel run, plus the structural shape of that run
-// as seen by the trace backend: the counting resolver attributes the
-// atomic traffic, the trace attributes the rounds and barriers it was
-// spread over. Both instruments observe the *same* deterministic replay.
+// as seen by the trace backend: the metrics shards attribute the claims,
+// the trace attributes the rounds and barriers they were spread over. Both
+// instruments observe the *same* deterministic replay.
 type KernelOpRow struct {
 	Kernel   string
 	Method   cw.Method
@@ -43,8 +44,20 @@ type KernelTraceRow struct {
 	IterTotal uint64 // summed iterations over all logical workers
 }
 
-// kernelOpMethods are the methods with counting resolvers.
+// kernelOpMethods are the methods whose operation mix the paper's Section 6
+// analyses.
 var kernelOpMethods = []cw.Method{cw.CASLT, cw.GatekeeperChecked, cw.Gatekeeper}
+
+// methodOps maps the claims of a metrics snapshot to method's memory
+// operations: every executed attempt is one atomic RMW and wins are wins.
+// The pre-checked methods (CAS-LT and the checked gatekeeper) make one
+// plain load per claim, skipped or not; the plain gatekeeper makes none.
+func methodOps(method cw.Method, s metrics.Snapshot) (loads, rmws, wins uint64) {
+	if method != cw.Gatekeeper {
+		loads = s.PrecheckSkips + s.CASAttempts
+	}
+	return loads, s.CASAttempts, s.CASWins
+}
 
 // traceRow flattens a kernel's TraceStats into a KernelTraceRow.
 func traceRow(kernel string, st *exec.TraceStats) KernelTraceRow {
@@ -85,8 +98,8 @@ func countWorkload(d *kernel.Descriptor, vertices, edges int, seed int64) kernel
 }
 
 // countCells is the concurrent-write cell count a workload exposes to the
-// counting resolver and the contention probe: one per vertex or list
-// element, none for the EREW chain.
+// contention probe: one per vertex or list element, none for the EREW
+// chain.
 func countCells(d *kernel.Descriptor, w kernel.Workload) int {
 	switch d.Input {
 	case kernel.InputList:
@@ -98,43 +111,35 @@ func countCells(d *kernel.Descriptor, w kernel.Workload) int {
 	}
 }
 
-// KernelOpCounts runs every registered kernel exposing the generic-resolver
-// hook (BFS and CC in the base suite) over a generated random graph once
-// per counting-capable method under the trace backend and reports the
-// atomic traffic each method generated — the whole-kernel extension of the
-// single-cell Section 6 experiment — alongside the step/barrier structure
-// of the traced run. Results are validated before being reported.
+// KernelOpCounts replays every registered kernel once per Section 6
+// method it supports under the trace backend, on a metrics machine, and
+// reports the claims the replay recorded as memory operations — the
+// whole-kernel extension of the single-cell Section 6 experiment —
+// alongside the step/barrier structure of the traced run. Results are
+// validated before being reported.
 func KernelOpCounts(reg *kernel.Registry, threads, vertices, edges int, seed int64) []KernelOpRow {
-	m := machine.New(threads)
+	m := machine.New(threads, machine.WithMetrics())
 	defer m.Close()
 	var rows []KernelOpRow
 	for _, d := range reg.All() {
-		w := countWorkload(d, vertices, edges, seed)
-		inst := d.New(m, w)
-		rr, ok := inst.(kernel.ResolverRunner)
-		if !ok {
-			continue
-		}
+		inst := d.New(m, countWorkload(d, vertices, edges, seed))
 		for _, method := range kernelOpMethods {
 			if !d.SupportsMethod(method) {
 				continue
 			}
-			var ops cw.OpCounts
-			r := cw.NewCountingResolver(method, countCells(d, w), &ops)
-			inst.Prepare(kernel.Settings{Exec: machine.ExecTrace, Method: method})
-			rr.RunResolver(machine.ExecTrace, r)
+			s := kernel.Settings{Exec: machine.ExecTrace, Method: method}
+			inst.Prepare(s)
+			m.Metrics().Reset()
+			inst.Run(s)
 			if err := inst.Validate(); err != nil {
 				panic(fmt.Sprintf("bench: kernelops %s %v: %v", d.Name, method, err))
 			}
-			loads, rmws, wins := ops.Snapshot()
-			st := inst.Trace()
-			if st == nil {
-				panic("bench: kernelops " + d.Name + " recorded no trace")
-			}
+			st := traceRow(d.Name, inst.Trace())
+			loads, rmws, wins := methodOps(method, m.Snapshot())
 			rows = append(rows, KernelOpRow{
 				Kernel: d.Name, Method: method,
 				Loads: loads, RMWs: rmws, Wins: wins,
-				Steps: uint64(st.Steps), Barriers: uint64(st.Barriers),
+				Steps: st.Steps, Barriers: st.Barriers,
 			})
 		}
 	}
@@ -187,8 +192,9 @@ func FormatKernelOps(w io.Writer, vertices, edges int, rows []KernelOpRow) error
 	b.WriteString("\nwins are identical across methods (same algorithm, one winner per\n" +
 		"target per round); the gatekeeper turns every attempt into an atomic RMW,\n" +
 		"the pre-checked variants turn almost all of them into plain loads.\n" +
-		"steps/barriers come from the trace backend's deterministic replay:\n" +
-		"the synchronization structure every method pays for identically.\n")
+		"the counts are the claims the trace backend's deterministic replay records\n" +
+		"on the metrics shards; steps/barriers, from the same replay, are the\n" +
+		"synchronization structure every method pays for identically.\n")
 	_, err := io.WriteString(w, b.String())
 	return err
 }

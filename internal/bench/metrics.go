@@ -61,8 +61,9 @@ func contentionRunMethods(d *kernel.Descriptor) []cw.Method {
 
 // Contention runs every registered contention-classified kernel on a
 // metrics-enabled machine under each requested timed backend (trace entries
-// are skipped: the trace backend is serial, so its "contention" is vacuous
-// and Ctx.Metrics is nil by design) and reports each run's aggregated
+// are skipped: the trace backend is serial, so its "contention" is vacuous;
+// its deterministic claim counts are KernelOpCounts' job) and reports each
+// run's aggregated
 // metrics snapshot. ContentionNone and ContentionCAS kernels are skipped
 // (no guarded round-structured CW to observe); the EREW ranker is the
 // negative control whose counters must stay zero. The per-cell probe is

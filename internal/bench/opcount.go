@@ -26,31 +26,29 @@ type OpCountRow struct {
 // the gatekeeper executes Θ(P_PRAM) atomic read-modify-writes (full
 // serialization), the checked gatekeeper and CAS-LT replace almost all of
 // them with plain loads, and CAS-LT's RMW count stays bounded by the
-// physical concurrency regardless of P_PRAM. threads is P_Phys.
+// physical concurrency regardless of P_PRAM. threads is P_Phys. Each step
+// runs on a metrics machine and records every claim on the claiming
+// worker's shard, as the timed kernels do.
 func OpCountTable(threads int, pprmSweep []int) []OpCountRow {
-	m := machine.New(threads)
+	m := machine.New(threads, machine.WithMetrics())
 	defer m.Close()
+	rec := m.Metrics()
+	step := func(method cw.Method, pprm int, claim func() cw.Outcome) [3]uint64 {
+		rec.Reset()
+		m.ParallelForWorker(pprm, func(_, w int) { rec.Shard(w).Claim(0, 1, claim()) })
+		loads, rmws, wins := methodOps(method, m.Snapshot())
+		return [3]uint64{loads, rmws, wins}
+	}
 	rows := make([]OpCountRow, 0, len(pprmSweep))
 	for _, pprm := range pprmSweep {
-		var row OpCountRow
-		row.PPRAM = pprm
-
-		var ops cw.OpCounts
-		cell := cw.NewCountingCell(&ops)
-		m.ParallelFor(pprm, func(int) { cell.TryClaim(1) })
-		row.CASLT[0], row.CASLT[1], row.CASLT[2] = ops.Snapshot()
-
-		ops.Reset()
-		gate := cw.NewCountingGate(&ops)
-		m.ParallelFor(pprm, func(int) { gate.TryEnterChecked() })
-		row.GateChecked[0], row.GateChecked[1], row.GateChecked[2] = ops.Snapshot()
-
-		ops.Reset()
-		gate = cw.NewCountingGate(&ops)
-		m.ParallelFor(pprm, func(int) { gate.TryEnter() })
-		row.Gate[0], row.Gate[1], row.Gate[2] = ops.Snapshot()
-
-		rows = append(rows, row)
+		var cell cw.Cell
+		var checked, gate cw.Gate
+		rows = append(rows, OpCountRow{
+			PPRAM:       pprm,
+			CASLT:       step(cw.CASLT, pprm, func() cw.Outcome { return cell.TryClaimOutcome(1) }),
+			GateChecked: step(cw.GatekeeperChecked, pprm, checked.TryEnterCheckedOutcome),
+			Gate:        step(cw.Gatekeeper, pprm, gate.TryEnterOutcome),
+		})
 	}
 	return rows
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/kernel"
 )
 
@@ -22,21 +23,22 @@ func TestOpCountTableValidatesSectionSix(t *testing.T) {
 			t.Fatalf("P_PRAM=%d: gatekeeper RMWs = %d, want %d", r.PPRAM, r.Gate[1], p)
 		}
 		// CAS-LT: one load per writer, RMWs bounded by the physical
-		// concurrency (losers that raced past the pre-check), never by
-		// P_PRAM.
+		// concurrency, never by P_PRAM. The machine has exactly P_Phys
+		// workers, the caller being worker 0, and each makes at most one
+		// RMW: after it, the worker's pre-check sees the stamp.
 		if r.CASLT[0] != p {
 			t.Fatalf("P_PRAM=%d: caslt loads = %d, want %d", r.PPRAM, r.CASLT[0], p)
 		}
-		if r.CASLT[1] > uint64(threads+1) {
-			t.Fatalf("P_PRAM=%d: caslt RMWs = %d, want <= P_Phys+1 = %d", r.PPRAM, r.CASLT[1], threads+1)
+		if r.CASLT[1] > threads {
+			t.Fatalf("P_PRAM=%d: caslt RMWs = %d, want <= P_Phys = %d", r.PPRAM, r.CASLT[1], threads)
 		}
 		// Checked gatekeeper: same load/RMW split as CAS-LT in this
 		// single-round experiment.
 		if r.GateChecked[0] != p {
 			t.Fatalf("P_PRAM=%d: gate-checked loads = %d, want %d", r.PPRAM, r.GateChecked[0], p)
 		}
-		if r.GateChecked[1] > uint64(threads+1) {
-			t.Fatalf("P_PRAM=%d: gate-checked RMWs = %d, want <= %d", r.PPRAM, r.GateChecked[1], threads+1)
+		if r.GateChecked[1] > threads {
+			t.Fatalf("P_PRAM=%d: gate-checked RMWs = %d, want <= %d", r.PPRAM, r.GateChecked[1], threads)
 		}
 		// Exactly one winner everywhere.
 		if r.CASLT[2] != 1 || r.Gate[2] != 1 || r.GateChecked[2] != 1 {
@@ -57,30 +59,52 @@ func TestOpCountTableValidatesSectionSix(t *testing.T) {
 
 func TestKernelOpCounts(t *testing.T) {
 	rows := KernelOpCounts(kernel.Default, 2, 300, 1200, 7)
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6 (2 kernels x 3 methods)", len(rows))
-	}
 	byKey := map[string]KernelOpRow{}
 	for _, r := range rows {
 		byKey[r.Kernel+"/"+r.Method.String()] = r
 	}
-	for _, kernel := range []string{"bfs", "cc"} {
-		caslt := byKey[kernel+"/caslt"]
-		gate := byKey[kernel+"/gatekeeper"]
-		checked := byKey[kernel+"/gatekeeper-checked"]
+	full := 0
+	for _, d := range kernel.Default.All() {
+		counted := 0
+		for _, m := range []cw.Method{cw.CASLT, cw.GatekeeperChecked, cw.Gatekeeper} {
+			if d.SupportsMethod(m) {
+				counted++
+				if _, ok := byKey[d.Name+"/"+m.String()]; !ok {
+					t.Fatalf("%s supports %v but has no row", d.Name, m)
+				}
+			}
+		}
+		if counted < 3 {
+			continue
+		}
+		full++
+		name := d.Name
+		caslt := byKey[name+"/caslt"]
+		gate := byKey[name+"/gatekeeper"]
+		checked := byKey[name+"/gatekeeper-checked"]
 		// Same algorithm, same winner structure.
 		if caslt.Wins == 0 {
-			t.Fatalf("%s: no wins recorded", kernel)
+			t.Fatalf("%s: no wins recorded", name)
+		}
+		if gate.Wins != caslt.Wins || checked.Wins != caslt.Wins {
+			t.Fatalf("%s: wins differ across methods (%d/%d/%d)", name, caslt.Wins, checked.Wins, gate.Wins)
 		}
 		// The plain gatekeeper never uses loads and pays an RMW per
 		// attempt; the pre-checked methods can only have fewer RMWs.
 		if gate.Loads != 0 {
-			t.Fatalf("%s: plain gatekeeper recorded %d loads", kernel, gate.Loads)
+			t.Fatalf("%s: plain gatekeeper recorded %d loads", name, gate.Loads)
 		}
 		if caslt.RMWs > gate.RMWs || checked.RMWs > gate.RMWs {
 			t.Fatalf("%s: pre-checked methods exceeded plain gatekeeper RMWs (%d/%d vs %d)",
-				kernel, caslt.RMWs, checked.RMWs, gate.RMWs)
+				name, caslt.RMWs, checked.RMWs, gate.RMWs)
 		}
+	}
+	if len(rows) != len(byKey) {
+		t.Fatalf("%d rows for %d kernel/method pairs", len(rows), len(byKey))
+	}
+	// bfs, cc, maxfind and mis support all three counted methods.
+	if full < 4 {
+		t.Fatalf("%d kernels with all three counted methods, want at least 4", full)
 	}
 
 	var out bytes.Buffer

@@ -203,38 +203,3 @@ func TestResolverPaddedLayout(t *testing.T) {
 		}
 	}
 }
-
-func TestNewCountingResolverUnsupportedPanics(t *testing.T) {
-	var ops OpCounts
-	defer func() {
-		if recover() == nil {
-			t.Fatal("counting resolver for mutex accepted")
-		}
-	}()
-	NewCountingResolver(Mutex, 1, &ops)
-}
-
-func TestCountingResolverSemantics(t *testing.T) {
-	for _, m := range []Method{CASLT, Gatekeeper, GatekeeperChecked} {
-		var ops OpCounts
-		r := NewCountingResolver(m, 2, &ops)
-		if r.Method() != m || r.Len() != 2 {
-			t.Fatalf("%v: wrong method/len surface", m)
-		}
-		wins := 0
-		for i := 0; i < 5; i++ {
-			r.Do(0, 1, func() { wins++ })
-		}
-		if wins != 1 {
-			t.Fatalf("%v: %d wins, want 1", m, wins)
-		}
-		r.ResetRange(0, 2)
-		r.Do(0, 2, func() { wins++ })
-		if wins != 2 {
-			t.Fatalf("%v: round 2 after reset lost (wins=%d)", m, wins)
-		}
-		if _, _, w := ops.Snapshot(); w != 2 {
-			t.Fatalf("%v: counted %d wins, want 2", m, w)
-		}
-	}
-}

@@ -94,9 +94,10 @@ type Ctx interface {
 	// Kernels add their machine-lifetime base offset themselves.
 	NextRound() uint32
 	// Metrics returns the machine's live-metrics recorder, or nil when
-	// metrics are off (always nil under trace: the serial replay has its
-	// own counters). Kernels thread it unconditionally — a nil recorder's
-	// Shard is nil, and a nil shard's methods are single-branch no-ops.
+	// metrics are off. Under trace the replay records claims and rounds on
+	// it, but no time. Kernels thread it unconditionally — a nil
+	// recorder's Shard is nil, and a nil shard's methods are single-branch
+	// no-ops.
 	Metrics() *metrics.Recorder
 }
 
@@ -160,7 +161,7 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 	switch e {
 	case machine.ExecTrace:
 		st := &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}
-		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, stats: st})
+		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, rec: m.Metrics(), stats: st})
 		return st
 	default:
 		// A machine carrying a chaos injector gets the team context

@@ -10,9 +10,8 @@ import (
 // TraceStats is the structural record of one traced kernel execution:
 // how many work-shared steps and synchronization points the kernel's
 // round structure costs, and how the iteration load splits across the
-// logical workers. CAS-attempt totals are not counted here — they live in
-// the cw layer's counting resolvers, which compose with the trace backend
-// (see internal/bench/kernelops.go).
+// logical workers. Claims are not counted here: the replay records them on
+// the machine's metrics shards, as a team run does (see Ctx.Metrics).
 type TraceStats struct {
 	// P is the logical worker count the replay partitioned loops for.
 	P int
@@ -65,6 +64,7 @@ type traceCtx struct {
 	p     int
 	chunk int // machine chunk size, bounding the stealing chunk geometry
 	flag  *Flag
+	rec   *metrics.Recorder
 	stats *TraceStats
 	round uint32
 }
@@ -165,12 +165,16 @@ func (c *traceCtx) Single(f func()) {
 
 func (c *traceCtx) Flag() *Flag { return c.flag }
 
+// NextRound credits the round to the machine's recorder, as the team
+// backend's coordinator does.
 func (c *traceCtx) NextRound() uint32 {
 	c.round++
 	c.stats.Rounds = c.round
+	c.rec.AddRounds(1)
 	return c.round
 }
 
-// Metrics is always nil under trace: the serial replay records structure
-// in TraceStats, and live timing of a serial replay would be meaningless.
-func (c *traceCtx) Metrics() *metrics.Recorder { return nil }
+// Metrics returns the machine's recorder (nil when metrics are off): the
+// replay records its claims and rounds on the logical workers' shards, but
+// no time, since the timing of a serial replay would be meaningless.
+func (c *traceCtx) Metrics() *metrics.Recorder { return c.rec }

@@ -3,10 +3,10 @@
 // instrumented kernels feed while running at full speed, so the paper's
 // central contention claims — CAS-LT executes at most P read-modify-writes
 // per cell per round, late arrivals fail a plain-load pre-check — can be
-// checked on real parallel hardware instead of by serial trace replay
-// (internal/core/exec/trace.go) or by the atomic counting twins
-// (internal/core/cw/counting.go), both of which distort or avoid the very
-// concurrency being measured.
+// checked on real parallel hardware. The shards are the repository's one
+// count of claims: the serial trace replay (internal/core/exec/trace.go)
+// records its claims on them too, one shard per logical worker, which is
+// where the deterministic whole-kernel operation counts come from.
 //
 // # Design
 //

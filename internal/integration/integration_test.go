@@ -105,12 +105,12 @@ func TestSerializedGraphThroughKernels(t *testing.T) {
 	m := testMachine(t, 4)
 	bk := bfs.NewKernel(m, loaded)
 	bk.Prepare(3)
-	if err := bfs.Validate(loaded, 3, bk.RunCASLT(), true); err != nil {
+	if err := bfs.Validate(loaded, 3, bk.Run(cw.CASLT), true); err != nil {
 		t.Fatalf("bfs on round-tripped graph: %v", err)
 	}
 	ck := cc.NewKernel(m, loaded)
 	ck.Prepare()
-	if err := cc.Validate(loaded, ck.RunCASLT()); err != nil {
+	if err := cc.Validate(loaded, ck.Run(cw.CASLT)); err != nil {
 		t.Fatalf("cc on round-tripped graph: %v", err)
 	}
 }
@@ -131,15 +131,15 @@ func TestOneMachineManyKernels(t *testing.T) {
 		ck := cc.NewKernel(m, g)
 		for rep := 0; rep < 3; rep++ {
 			mk.Prepare(list)
-			if got, want := mk.RunCASLT(), maxfind.Sequential(list); got != want {
+			if got, want := mk.Run(cw.CASLT), maxfind.Sequential(list); got != want {
 				t.Fatalf("%v rep %d: max %d, want %d", policy, rep, got, want)
 			}
 			bk.Prepare(0)
-			if err := bfs.Validate(g, 0, bk.RunCASLT(), true); err != nil {
+			if err := bfs.Validate(g, 0, bk.Run(cw.CASLT), true); err != nil {
 				t.Fatalf("%v rep %d: bfs: %v", policy, rep, err)
 			}
 			ck.Prepare()
-			if err := cc.Validate(g, ck.RunCASLT()); err != nil {
+			if err := cc.Validate(g, ck.Run(cw.CASLT)); err != nil {
 				t.Fatalf("%v rep %d: cc: %v", policy, rep, err)
 			}
 		}
@@ -155,7 +155,7 @@ func TestASAndRandMateAgree(t *testing.T) {
 		g := graph.Disjoint(graph.ConnectedRandom(60, 200, seed), 3)
 		k := cc.NewKernel(m, g)
 		k.Prepare()
-		as := append([]uint32(nil), k.RunCASLT().Labels...)
+		as := append([]uint32(nil), k.Run(cw.CASLT).Labels...)
 		k.Prepare()
 		rm := k.RunRandMate(uint64(seed))
 		// Same partition: labels agree up to bijection.
@@ -182,10 +182,10 @@ func TestBFSLevelsMatchCCComponent(t *testing.T) {
 	g := graph.Disjoint(graph.ConnectedRandom(80, 250, 11), 2)
 	bk := bfs.NewKernel(m, g)
 	bk.Prepare(0)
-	br := bk.RunCASLT()
+	br := bk.Run(cw.CASLT)
 	ck := cc.NewKernel(m, g)
 	ck.Prepare()
-	cr := ck.RunCASLT()
+	cr := ck.Run(cw.CASLT)
 	src := cr.Labels[0]
 	for v := 0; v < g.NumVertices(); v++ {
 		reachable := br.Level[v] != bfs.Unreached

@@ -17,8 +17,10 @@ import (
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
+	evtrace "crcwpram/internal/core/trace"
 	"crcwpram/internal/graph"
 	"crcwpram/internal/kernel"
+	"crcwpram/internal/race"
 )
 
 // TestRegistryDifferentialExec byte-compares every registered kernel's
@@ -204,4 +206,124 @@ func TestRegistryToyExtension(t *testing.T) {
 	if rows[0].Steps == 0 || rows[0].Barriers == 0 {
 		t.Fatalf("toymax trace row has empty structure: %+v", rows[0])
 	}
+}
+
+// claimCounts is the claim-and-round part of a metrics snapshot, the part a
+// trace replay records.
+type claimCounts struct {
+	skips, attempts, wins, losses, rounds uint64
+}
+
+// countRun prepares inst, runs it once under s with the machine's recorder
+// reset after Prepare, validates, and returns the recorded claims.
+func countRun(m *machine.Machine, inst kernel.Instance, s kernel.Settings) (claimCounts, error) {
+	inst.Prepare(s)
+	m.Metrics().Reset()
+	inst.Run(s)
+	if err := inst.Validate(); err != nil {
+		return claimCounts{}, err
+	}
+	sn := m.Snapshot()
+	return claimCounts{sn.PrecheckSkips, sn.CASAttempts, sn.CASWins, sn.CASLosses, sn.Rounds}, nil
+}
+
+// TestRegistryTraceReplayCountsClaims checks that the serial trace replay
+// records claims and rounds on the machine's metrics shards as a team run
+// does. At P=1 the two make the same claims in the same order, so every
+// registered kernel × method × matrix input must record equal counts under
+// both; a run that records a claim must record a round, and a bare
+// machine's replay records nothing. Then each kernel is replayed twice on
+// an event-traced P=2 machine, each replay followed by a team run: the
+// replays must record equal counts, and under -race the replay's writes to
+// the shards and rings must be ordered against the helpers' writes.
+func TestRegistryTraceReplayCountsClaims(t *testing.T) {
+	m := machine.New(1, machine.WithMetrics())
+	defer m.Close()
+	bare := machine.New(1)
+	defer bare.Close()
+	for _, d := range kernel.All() {
+		for _, nw := range kernel.MatrixWorkloads(d) {
+			inst := d.New(m, nw.W)
+			bareInst := d.New(bare, nw.W)
+			for _, method := range methodsOf(d) {
+				tag := fmt.Sprintf("%s/%s %s", d.Name, nw.Name, method)
+				team, err := countRun(m, inst, kernel.Settings{Exec: machine.ExecTeam, Method: method})
+				if err != nil {
+					t.Fatalf("%s team: %v", tag, err)
+				}
+				s := kernel.Settings{Exec: machine.ExecTrace, Method: method}
+				trace, err := countRun(m, inst, s)
+				if err != nil {
+					t.Fatalf("%s trace: %v", tag, err)
+				}
+				if trace != team {
+					t.Errorf("%s: trace replay recorded %+v, team run %+v", tag, trace, team)
+				}
+				if team.skips+team.attempts > 0 && team.rounds == 0 {
+					t.Errorf("%s: %+v records claims but no round", tag, team)
+				}
+				bareInst.Prepare(s)
+				bareInst.Run(s)
+				if sn := bare.Snapshot(); sn.PrecheckSkips+sn.CASAttempts+sn.Rounds != 0 {
+					t.Errorf("%s: a bare machine's replay recorded %+v", tag, sn)
+				}
+			}
+		}
+	}
+
+	ev := machine.New(2, machine.WithEventTrace(evtrace.New(2, 64)))
+	defer ev.Close()
+	for _, d := range kernel.All() {
+		nw := smallestWorkload(d)
+		inst := d.New(ev, nw.W)
+		for _, method := range methodsOf(d) {
+			if method == cw.Naive && race.Enabled {
+				continue
+			}
+			tag := fmt.Sprintf("%s/%s %s p=2 evtrace", d.Name, nw.Name, method)
+			var first claimCounts
+			for i := 0; i < 2; i++ {
+				got, err := countRun(ev, inst, kernel.Settings{Exec: machine.ExecTrace, Method: method})
+				if err != nil {
+					t.Fatalf("%s replay %d: %v", tag, i, err)
+				}
+				if _, err := countRun(ev, inst, kernel.Settings{Exec: machine.ExecTeam, Method: method}); err != nil {
+					t.Fatalf("%s team run %d: %v", tag, i, err)
+				}
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Errorf("%s: second replay recorded %+v, first %+v", tag, got, first)
+				}
+			}
+		}
+	}
+}
+
+// methodsOf returns d's declared methods, or the zero method for a
+// methodless kernel.
+func methodsOf(d *kernel.Descriptor) []cw.Method {
+	if len(d.Methods) == 0 {
+		return []cw.Method{0}
+	}
+	return d.Methods
+}
+
+// smallestWorkload returns d's matrix input with the fewest vertices plus
+// arcs, or list or chain elements.
+func smallestWorkload(d *kernel.Descriptor) kernel.NamedWorkload {
+	size := func(w kernel.Workload) int {
+		if w.Graph != nil {
+			return w.Graph.NumVertices() + w.Graph.NumArcs()
+		}
+		return len(w.List) + len(w.Next)
+	}
+	ws := kernel.MatrixWorkloads(d)
+	best := ws[0]
+	for _, nw := range ws[1:] {
+		if size(nw.W) < size(best.W) {
+			best = nw
+		}
+	}
+	return best
 }

@@ -132,9 +132,9 @@ type Instance interface {
 	Trace() *exec.TraceStats
 }
 
-// ResolverRunner is the optional counting-resolver hook: kernels whose
-// selection protocol can be swapped for an instrumented cw.Resolver
-// implement it, and the op-count bench discovers them by assertion.
+// ResolverRunner is the optional generic-resolver hook: kernels whose
+// selection protocol can be swapped for any cw.Resolver implement it, and
+// the chaos sticky-loser leg discovers them by assertion.
 type ResolverRunner interface {
 	RunResolver(e machine.Exec, r cw.Resolver) Outcome
 }
