@@ -200,20 +200,20 @@ func allPairsMax(ctx exec.Ctx, s *dlScratch, list []uint32, cand []uint32) uint3
 	rec := ctx.Metrics()
 	ctx.Range(k*k, func(lo, hi, w int) {
 		sh := rec.Shard(w)
-		for p := lo; p < hi; p++ {
-			i, j := p/k, p%k
-			if i == j {
-				continue
+		rows(k, lo, hi, func(i, j0, end int) {
+			a := cand[i]
+			ka := key(list[a], int(a))
+			for j := j0; j < end; j++ {
+				if j == i {
+					continue
+				}
+				b := cand[j]
+				l := loser(ka, key(list[b], int(b)), i, j)
+				if sh.Claim(l, 1, cells.TryClaimOutcome(l, 1)) {
+					alive[l] = 0
+				}
 			}
-			a, b := cand[i], cand[j]
-			loser := i
-			if list[a] > list[b] || (list[a] == list[b] && a > b) {
-				loser = j
-			}
-			if sh.Claim(loser, 1, cells.TryClaimOutcome(loser, 1)) {
-				alive[loser] = 0
-			}
-		}
+		})
 	})
 	// Every worker scans for the survivor identically: the scan is
 	// read-only and runs after the combine round's barrier.

@@ -20,6 +20,7 @@ package maxfind
 
 import (
 	"fmt"
+	"math/bits"
 
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
@@ -93,47 +94,16 @@ func (k *Kernel) Run(method cw.Method) int {
 
 // RunExec is Run under an explicit execution backend.
 func (k *Kernel) RunExec(e machine.Exec, method cw.Method) int {
-	// The write closure and (for CAS-LT) the round id are chosen
-	// driver-side: nextRound mutates kernel state, which SPMD bodies must
-	// not do. Each write threads the caller's metrics shard through
-	// Shard.Claim, which reduces to the won bool when metrics are off.
-	var write func(sh *metrics.Shard, loser int)
 	switch method {
-	case cw.CASLT:
-		round := k.nextRound()
-		write = func(sh *metrics.Shard, loser int) {
-			if sh.Claim(loser, round, k.cells.TryClaimOutcome(loser, round)) {
-				k.isMax[loser] = 0
-			}
-		}
-	case cw.Gatekeeper:
-		write = func(sh *metrics.Shard, loser int) {
-			if sh.Claim(loser, 1, k.gates.TryEnterOutcome(loser)) {
-				k.isMax[loser] = 0
-			}
-		}
-	case cw.GatekeeperChecked:
-		write = func(sh *metrics.Shard, loser int) {
-			if sh.Claim(loser, 1, k.gates.TryEnterCheckedOutcome(loser)) {
-				k.isMax[loser] = 0
-			}
-		}
-	case cw.Naive:
-		// Naive has no winner selection: every write is issued, so every
-		// attempt records as an executed win.
-		write = func(sh *metrics.Shard, loser int) {
-			sh.Claim(loser, 1, cw.OutcomeWin)
-			k.isMax[loser] = 0
-		}
-	case cw.Mutex:
-		write = func(sh *metrics.Shard, loser int) {
-			k.mtx.Lock(loser)
-			k.isMax[loser] = 0
-			k.mtx.Unlock(loser)
-			sh.Claim(loser, 1, cw.OutcomeWin)
-		}
+	case cw.CASLT, cw.Gatekeeper, cw.GatekeeperChecked, cw.Naive, cw.Mutex:
 	default:
 		panic("maxfind: unknown method " + method.String())
+	}
+	// The CAS-LT round id is chosen driver-side: nextRound mutates kernel
+	// state, which SPMD bodies must not do.
+	var round uint32
+	if method == cw.CASLT {
+		round = k.nextRound()
 	}
 	n := k.n
 	max := -1
@@ -146,13 +116,7 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method) int {
 		// comparison takes a common concurrent write.
 		ctx.Range(n*n, func(lo, hi, w int) {
 			sh := rec.Shard(w)
-			for idx := lo; idx < hi; idx++ {
-				i, j := idx/n, idx%n
-				if i == j {
-					continue
-				}
-				write(sh, k.loserOf(i, j))
-			}
+			rows(n, lo, hi, func(i, j0, end int) { k.row(sh, method, round, i, j0, end) })
 		})
 		// The final scan of Figure 4: one worker scans while the rest wait.
 		ctx.Single(func() { max = k.scan() })
@@ -164,15 +128,95 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method) int {
 // trace backend, or nil if the last run used a timed backend.
 func (k *Kernel) Trace() *exec.TraceStats { return k.trace }
 
-// loserOf returns the index whose flag the pair (i, j) clears, following
-// the paper's comparison: the smaller value loses; on ties the smaller
-// index loses.
-func (k *Kernel) loserOf(i, j int) int {
-	li, lj := k.list[i], k.list[j]
-	if li < lj || (li == lj && i < j) {
-		return i
+// row makes the writes of the pairs (i, j), j0 <= j < end and j != i: the
+// loser of each pair has its flag cleared under method. The switch runs
+// once per row, so each method's loop inlines its primitive and the
+// shard's Claim, which reduces to the won bool when metrics are off.
+func (k *Kernel) row(sh *metrics.Shard, method cw.Method, round uint32, i, j0, end int) {
+	list, isMax := k.list, k.isMax
+	ki := key(list[i], i)
+	switch method {
+	case cw.CASLT:
+		cells := k.cells
+		for j := j0; j < end; j++ {
+			if j == i {
+				continue
+			}
+			l := loser(ki, key(list[j], j), i, j)
+			if sh.Claim(l, round, cells.TryClaimOutcome(l, round)) {
+				isMax[l] = 0
+			}
+		}
+	case cw.Gatekeeper:
+		gates := k.gates
+		for j := j0; j < end; j++ {
+			if j == i {
+				continue
+			}
+			l := loser(ki, key(list[j], j), i, j)
+			if sh.Claim(l, 1, gates.TryEnterOutcome(l)) {
+				isMax[l] = 0
+			}
+		}
+	case cw.GatekeeperChecked:
+		gates := k.gates
+		for j := j0; j < end; j++ {
+			if j == i {
+				continue
+			}
+			l := loser(ki, key(list[j], j), i, j)
+			if sh.Claim(l, 1, gates.TryEnterCheckedOutcome(l)) {
+				isMax[l] = 0
+			}
+		}
+	case cw.Naive:
+		// Naive has no winner selection: every write is issued, so every
+		// attempt records as an executed win.
+		for j := j0; j < end; j++ {
+			if j == i {
+				continue
+			}
+			l := loser(ki, key(list[j], j), i, j)
+			sh.Claim(l, 1, cw.OutcomeWin)
+			isMax[l] = 0
+		}
+	case cw.Mutex:
+		mtx := k.mtx
+		for j := j0; j < end; j++ {
+			if j == i {
+				continue
+			}
+			l := loser(ki, key(list[j], j), i, j)
+			mtx.Lock(l)
+			isMax[l] = 0
+			mtx.Unlock(l)
+			sh.Claim(l, 1, cw.OutcomeWin)
+		}
 	}
-	return j
+}
+
+// rows walks the share [lo, hi) of the row-major n×n pair space one row at
+// a time, calling row(i, j0, end) for the pairs (i, j), j0 <= j < end. A
+// share may start and end mid-row; only its first row costs a division.
+func rows(n, lo, hi int, row func(i, j0, end int)) {
+	for i, j0 := lo/n, lo%n; lo < hi; i, j0 = i+1, 0 {
+		end := min(n, j0+hi-lo)
+		row(i, j0, end)
+		lo += end - j0
+	}
+}
+
+// key orders elements by the paper's comparison: by value, and on equal
+// values by index. Of two elements, the one with the smaller key loses.
+// The index must fit in 32 bits.
+func key(v uint32, i int) uint64 { return uint64(v)<<32 | uint64(i) }
+
+// loser returns the pair's loser, i if ki < kj and j otherwise. The keys
+// of distinct indices never tie. The comparison's borrow selects the index
+// arithmetically, so a random input costs no mispredicted branch.
+func loser(ki, kj uint64, i, j int) int {
+	_, less := bits.Sub64(ki, kj, 0)
+	return j + (i-j)*int(less)
 }
 
 // scan is the final pass of Figure 4: the last surviving candidate is the

@@ -1,6 +1,7 @@
 package maxfind
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,9 +15,9 @@ import (
 // is tested separately and skipped under -race.
 var selectionMethods = []cw.Method{cw.CASLT, cw.Gatekeeper, cw.GatekeeperChecked, cw.Mutex}
 
-func testMachine(t *testing.T, p int) *machine.Machine {
+func testMachine(t *testing.T, p int, opts ...machine.Option) *machine.Machine {
 	t.Helper()
-	m := machine.New(p)
+	m := machine.New(p, opts...)
 	t.Cleanup(m.Close)
 	return m
 }
@@ -227,4 +228,89 @@ func TestQuickAllMethodsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Every ordered pair (i, j), i != j, makes exactly one selection call at
+// any P and under either backend, however the shares cut the pair space.
+// The maximum alone cannot show this: a walk that skips or repeats pairs
+// at share boundaries still returns it, since every non-maximum also
+// loses through other pairs.
+func TestRunClaimsEveryOrderedPairOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []int{1, 2, 3, 4, 7} {
+		m := testMachine(t, p, machine.WithMetrics())
+		rec := m.Metrics()
+		for _, n := range []int{1, 2, 3, 5, 17, 257} {
+			k := NewKernel(m, n)
+			list := make([]uint32, n)
+			for i := range list {
+				list[i] = uint32(rng.Intn(n/2 + 1)) // small range forces ties
+			}
+			want := Sequential(list)
+			pairs := uint64(n * (n - 1))
+			for _, e := range []machine.Exec{machine.ExecTeam, machine.ExecTrace} {
+				for _, method := range cw.Methods {
+					if method == cw.Naive && race.Enabled {
+						continue // intentionally racy common CW
+					}
+					k.Prepare(list)
+					rec.Reset()
+					if got := k.RunExec(e, method); got != want {
+						t.Fatalf("p=%d n=%d %v %v: got %d, want %d", p, n, e, method, got, want)
+					}
+					s := rec.Snapshot()
+					if calls := s.PrecheckSkips + s.CASAttempts; calls != pairs {
+						t.Errorf("p=%d n=%d %v %v: %d selection calls, want n(n-1) = %d", p, n, e, method, calls, pairs)
+					}
+					// The selection methods let one write per loser through;
+					// naive and mutex execute every write.
+					wins := uint64(n - 1)
+					if method == cw.Naive || method == cw.Mutex {
+						wins = pairs
+					}
+					if s.CASWins != wins {
+						t.Errorf("p=%d n=%d %v %v: %d wins, want %d", p, n, e, method, s.CASWins, wins)
+					}
+					if method == cw.Gatekeeper && s.PrecheckSkips != 0 {
+						t.Errorf("p=%d n=%d %v: unchecked gatekeeper skipped %d attempts", p, n, e, s.PrecheckSkips)
+					}
+				}
+			}
+		}
+	}
+}
+
+// paperLoser is the comparison of the paper's Figure 4 listing, the
+// reference for loser: the smaller value loses, and on equal values the
+// smaller index.
+func paperLoser(li, lj uint32, i, j int) int {
+	if li < lj || (li == lj && i < j) {
+		return i
+	}
+	return j
+}
+
+func FuzzLoser(f *testing.F) {
+	for _, c := range []struct{ li, lj, i, j uint32 }{
+		{5, 5, 1, 2}, // equal values: the smaller index loses
+		{5, 5, 2, 1},
+		{0, math.MaxUint32, 0, 1},
+		{0, math.MaxUint32, 1, 0},
+		{math.MaxUint32, 0, 0, 1},
+		{math.MaxUint32, math.MaxUint32, 0, math.MaxUint32},
+		{math.MaxUint32, math.MaxUint32, math.MaxUint32, 0},
+		{0, 0, 3, 7},
+		{7, 3, 3, 7},
+	} {
+		f.Add(c.li, c.lj, c.i, c.j)
+	}
+	f.Fuzz(func(t *testing.T, li, lj, ui, uj uint32) {
+		if ui == uj {
+			return // the kernel never compares an element with itself
+		}
+		i, j := int(ui), int(uj)
+		if got, want := loser(key(li, i), key(lj, j), i, j), paperLoser(li, lj, i, j); got != want {
+			t.Fatalf("loser(list[%d]=%d, list[%d]=%d) = %d, want %d", i, li, j, lj, got, want)
+		}
+	})
 }
