@@ -700,7 +700,7 @@ func runChaos(w io.Writer, threads int, spec string, verbose bool) error {
 		fmt.Fprintf(os.Stderr, "chaos: %d kernels, seeds %v, faults %s, threads %d\n",
 			len(kernel.All()), s.Seeds, s.Faults, threads)
 	}
-	if err := kernel.DifferentialChaos(kernel.Default, threads, s.Seeds, s.Faults); err != nil {
+	if err := kernel.Differential(kernel.Default, []int{threads}, kernel.ChaosVariants(s.Seeds, s.Faults)...); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "chaos matrix ok: %d kernels x methods x {team} x {block, stealing} x %d seeds, faults=%s, threads=%d\n",

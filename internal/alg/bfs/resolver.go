@@ -39,6 +39,11 @@ func (k *Kernel) RunResolverExec(e machine.Exec, r cw.Resolver) Result {
 		for {
 			progress.Set(L+1, 0) // prime next level's flag (common CW)
 			round := L + 1
+			if ctx.Worker() == 0 {
+				// The level counter is the round id, as in runLevels, so
+				// credit the consumed round here.
+				rec.AddRounds(1)
+			}
 			ctx.Range(k.n, func(lo, hi, w int) {
 				sh := rec.Shard(w)
 				prog := false

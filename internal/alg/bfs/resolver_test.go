@@ -23,8 +23,9 @@ func TestRunResolverAllMethods(t *testing.T) {
 }
 
 // TestRunResolverCountsMatchRun checks that the generic-resolver path
-// records the same winners on the metrics shards as Run: every vertex
-// except the source is discovered by exactly one win.
+// records the same winners and rounds on the metrics shards as Run: every
+// vertex except the source is discovered by exactly one win, and each
+// level is one round.
 func TestRunResolverCountsMatchRun(t *testing.T) {
 	m := machine.New(4, machine.WithMetrics())
 	t.Cleanup(m.Close)
@@ -37,15 +38,21 @@ func TestRunResolverCountsMatchRun(t *testing.T) {
 		{"RunResolver", func() Result { return k.RunResolver(cw.NewResolver(cw.CASLT, g.NumVertices(), cw.Packed)) }},
 		{"Run", func() Result { return k.Run(cw.CASLT) }},
 	}
-	for _, r := range runs {
+	var rounds [2]uint64
+	for i, r := range runs {
 		k.Prepare(0)
 		m.Metrics().Reset()
 		if err := Validate(g, 0, r.run(), true); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		if wins, want := m.Snapshot().CASWins, uint64(g.NumVertices()-1); wins != want {
+		sn := m.Snapshot()
+		if wins, want := sn.CASWins, uint64(g.NumVertices()-1); wins != want {
 			t.Fatalf("%s: wins = %d, want %d", r.name, wins, want)
 		}
+		rounds[i] = sn.Rounds
+	}
+	if rounds[0] != rounds[1] || rounds[0] == 0 {
+		t.Fatalf("RunResolver recorded %d rounds, Run %d", rounds[0], rounds[1])
 	}
 }
 

@@ -72,12 +72,13 @@ func contentionRunMethods(d *kernel.Descriptor) []cw.Method {
 // round — and the run times are therefore NOT reported as measurements
 // (the probe is an observer that adds a CAS per executed attempt).
 //
-// For CAS-LT rows the probe maximum is checked against the paper's bound:
-// at most P executed CASes per cell per round, scaled by the descriptor's
-// ProbeBoundFactor (2 for matching, whose propose and accept cell arrays
-// share the probe's index space, giving two guarded writes per vertex id
-// per round). A violation returns an error — it would falsify the claim
-// the metrics layer exists to verify.
+// For CAS-LT rows of guarded kernels the probe maximum is checked against
+// the paper's bound, kernel.Descriptor.ClaimBound: at most P executed CASes
+// per cell per round, scaled by the descriptor's ProbeBoundFactor (2 for
+// matching, whose propose and accept cell arrays share the probe's index
+// space, giving two guarded writes per vertex id per round). A violation
+// returns an error — it would falsify the claim the metrics layer exists
+// to verify.
 //
 // Every result is validated against its sequential oracle before its
 // snapshot is reported.
@@ -106,12 +107,9 @@ func Contention(reg *kernel.Registry, threads, vertices, edges int, seed int64, 
 			return fmt.Errorf("bench: metrics %s/%s/%s: %w", d.Name, name, e, err)
 		}
 		snap := m.Snapshot()
-		if name == cw.CASLT.String() {
-			bound := uint64(threads) * uint64(d.ProbeBoundFactor)
-			if snap.MaxCellClaims > bound {
-				return fmt.Errorf("bench: metrics %s/%s/%s: %d executed CASes on one cell in one round, paper bounds it by %d",
-					d.Name, name, e, snap.MaxCellClaims, bound)
-			}
+		if bound := d.ClaimBound(s.Method, threads); bound > 0 && snap.MaxCellClaims > bound {
+			return fmt.Errorf("bench: metrics %s/%s/%s: %d executed CASes on one cell in one round, paper bounds it by %d",
+				d.Name, name, e, snap.MaxCellClaims, bound)
 		}
 		rows = append(rows, MetricsRow{Kernel: d.Name, Method: name, Exec: e, Snap: snap})
 		return nil
@@ -186,9 +184,9 @@ func Contention(reg *kernel.Registry, threads, vertices, edges int, seed int64, 
 			return nil, fmt.Errorf("bench: metrics %s/caslt/%s policy=stealing: %w", sd.Name, e, err)
 		}
 		snap := sm.Snapshot()
-		if snap.MaxCellClaims > uint64(threads)*uint64(sd.ProbeBoundFactor) {
+		if bound := sd.ClaimBound(s.Method, threads); bound > 0 && snap.MaxCellClaims > bound {
 			return nil, fmt.Errorf("bench: metrics %s/caslt/%s policy=stealing: %d executed CASes on one cell in one round, paper bounds it by %d",
-				sd.Name, e, snap.MaxCellClaims, threads)
+				sd.Name, e, snap.MaxCellClaims, bound)
 		}
 		if snap.ChunksLocal == 0 {
 			return nil, fmt.Errorf("bench: metrics %s/caslt/%s policy=stealing: no deque claims recorded", sd.Name, e)

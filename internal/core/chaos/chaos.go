@@ -17,8 +17,9 @@
 // though the OS interleaves them differently. The injector never touches
 // algorithm state — it only burns time (spin) and yields (runtime.Gosched)
 // — so a perturbed run of a deterministic kernel must produce the same
-// bytes as an unperturbed run; internal/kernel.DifferentialChaos enforces
-// exactly that, with the metrics.Checker watching the invariants live.
+// bytes as an unperturbed run; internal/kernel.Differential enforces
+// exactly that with kernel.ChaosVariants, with the metrics.Checker
+// watching the invariants live.
 //
 // Wiring: machine.WithChaos(inj) attaches an injector to a machine; the
 // exec package then wraps the team backend's Ctx so every

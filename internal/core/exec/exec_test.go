@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crcwpram/internal/core/chaos"
 	"crcwpram/internal/core/machine"
+	evtrace "crcwpram/internal/core/trace"
 )
 
 // sumBody is a miniature SPMD kernel exercising every Ctx primitive: a
@@ -157,29 +159,53 @@ func TestWorkerIds(t *testing.T) {
 }
 
 // TestPanicPropagates checks that a body panic surfaces on the caller
-// under every backend and leaves the machine usable.
+// exactly once, under every backend and worker count and on machines
+// built bare and with each observer, and leaves the machine usable.
 func TestPanicPropagates(t *testing.T) {
-	m := machine.New(4)
-	defer m.Close()
-	for _, e := range backends {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("exec=%v: panic did not propagate", e)
+	wrappers := []struct {
+		name string
+		opts func(p int) []machine.Option
+	}{
+		{"bare", func(int) []machine.Option { return nil }},
+		{"metrics", func(int) []machine.Option { return []machine.Option{machine.WithMetrics()} }},
+		{"evtrace", func(p int) []machine.Option { return []machine.Option{machine.WithEventTrace(evtrace.New(p, 64))} }},
+		{"chaos", func(p int) []machine.Option {
+			return []machine.Option{machine.WithChaos(chaos.NewInjector(p, 1, chaos.AllFaults))}
+		}},
+	}
+	for _, wr := range wrappers {
+		for _, p := range []int{1, 2, 4} {
+			m := machine.New(p, wr.opts(p)...)
+			for _, e := range backends {
+				panics := 0
+				run := func(body func(Ctx)) {
+					defer func() {
+						if r := recover(); r != nil {
+							panics++
+							if r != "boom" {
+								t.Errorf("%s p=%d exec=%v: recovered %v, want boom", wr.name, p, e, r)
+							}
+						}
+					}()
+					Run(m, e, body)
 				}
-			}()
-			Run(m, e, func(ctx Ctx) {
-				ctx.For(4, func(i int) {
-					if i == 2 {
-						panic("boom")
-					}
+				run(func(ctx Ctx) {
+					ctx.For(4, func(i int) {
+						if i == 2 {
+							panic("boom")
+						}
+					})
 				})
-			})
-		}()
-		var ok int64
-		Run(m, e, sumBody(5, &ok))
-		if ok != 40 {
-			t.Errorf("exec=%v: machine unusable after panic (sum=%d)", e, ok)
+				var ok int64
+				run(sumBody(5, &ok))
+				if panics != 1 {
+					t.Errorf("%s p=%d exec=%v: the panic surfaced %d times, want once", wr.name, p, e, panics)
+				}
+				if ok != 40 {
+					t.Errorf("%s p=%d exec=%v: machine unusable after panic (sum=%d)", wr.name, p, e, ok)
+				}
+			}
+			m.Close()
 		}
 	}
 }

@@ -148,8 +148,8 @@ func WithMetrics() Option { return func(m *Machine) { m.rec = metrics.NewRecorde
 // WithMetrics — so the tracing-off hot path keeps the metrics
 // discipline's single branch (BenchmarkEventTraceOffOverhead pins it).
 // The recorder's worker count must match the machine's. Tracing only
-// observes; kernel.DifferentialEventTrace proves traced runs stay
-// byte-identical to untraced ones.
+// observes; kernel.Differential's EventTrace variant proves traced runs
+// stay byte-identical to untraced ones.
 func WithEventTrace(r *evtrace.Recorder) Option { return func(m *Machine) { m.evt = r } }
 
 // WithChaos attaches a deterministic schedule-perturbation injector: the
@@ -160,8 +160,8 @@ func WithEventTrace(r *evtrace.Recorder) Option { return func(m *Machine) { m.ev
 // WithChaos allocates a recorder even without WithMetrics — because the
 // claim sites are the metrics layer's. Faults only burn time and yield,
 // so a perturbed run of a deterministic kernel must produce
-// byte-identical results; kernel.DifferentialChaos enforces that across
-// the whole registry. Never time a chaos run.
+// byte-identical results; kernel.Differential enforces that across the
+// whole registry with kernel.ChaosVariants. Never time a chaos run.
 func WithChaos(inj *chaos.Injector) Option { return func(m *Machine) { m.chaos = inj } }
 
 // New returns a Machine with p workers: the calling goroutine, which runs

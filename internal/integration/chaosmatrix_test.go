@@ -18,15 +18,16 @@ import (
 	"crcwpram/internal/kernel"
 )
 
-// TestChaosMatrixDifferential drives kernel.DifferentialChaos over the
-// default registry: kernel × method × team × block/stealing × seed,
-// all faults on, at P=4. The CI chaos job runs this under -race.
+// TestChaosMatrixDifferential drives kernel.ChaosVariants through
+// kernel.Differential over the default registry: kernel × method × team ×
+// block/stealing × seed, all faults on, at P=4. The CI chaos job runs this
+// under -race.
 func TestChaosMatrixDifferential(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	if err := kernel.DifferentialChaos(kernel.Default, 4, seeds, chaos.AllFaults); err != nil {
+	if err := kernel.Differential(kernel.Default, []int{4}, kernel.ChaosVariants(seeds, chaos.AllFaults)...); err != nil {
 		t.Fatal(err)
 	}
 }

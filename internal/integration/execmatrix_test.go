@@ -1,8 +1,7 @@
-// Cross-backend state tests: the differential matrices themselves (every
+// Cross-backend state tests: the differential engine itself (every
 // registered kernel × method × backend × representation × policy ×
-// relabeling, byte-compared against the team/block/word reference) are
-// implemented in internal/kernel (DifferentialExec, DifferentialPolicy,
-// DifferentialRelabel, Smoke) and driven by registrymatrix_test.go in this
+// relabeling × observer, byte-compared against the bare team reference)
+// is kernel.Differential, driven by registrymatrix_test.go in this
 // package. What remains here are the contracts a registry-driven sweep
 // cannot express: round-id continuity when one kernel instance alternates
 // backends without reset, and the trace backend's recording contract.
@@ -12,7 +11,6 @@
 package integration
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"crcwpram/internal/alg/bfs"
@@ -25,37 +23,6 @@ import (
 
 // matrixExecs is every backend, including the untimed trace replay.
 var matrixExecs = []machine.Exec{machine.ExecTeam, machine.ExecTrace}
-
-// guardedMethods are the methods that safely implement the kernels'
-// arbitrary concurrent writes (cw.Naive is not among them; the metrics
-// differential sweeps them all).
-var guardedMethods = []cw.Method{cw.CASLT, cw.Gatekeeper, cw.GatekeeperChecked, cw.Mutex}
-
-func u32bytes(xs []uint32) []byte {
-	out := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(out[4*i:], x)
-	}
-	return out
-}
-
-// canonicalPartition renames labels to the smallest vertex index of each
-// class, making partitions comparable byte-for-byte.
-func canonicalPartition(labels []uint32) []uint32 {
-	first := map[uint32]uint32{}
-	out := make([]uint32, len(labels))
-	for v, l := range labels {
-		if _, ok := first[l]; !ok {
-			first[l] = uint32(v)
-		}
-		out[v] = first[l]
-	}
-	return out
-}
-
-func bfsProjection(r bfs.Result) []byte {
-	return append(u32bytes(r.Level), byte(r.Depth), byte(r.Depth>>8), byte(r.Depth>>16), byte(r.Depth>>24))
-}
 
 // TestExecInterleavedRoundOffsets drives one kernel instance through the
 // backends in rotation with no state reset beyond Prepare: the CAS-LT

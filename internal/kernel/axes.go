@@ -44,7 +44,7 @@ func MethodValues() []string {
 }
 
 // ExecValues lists every execution backend including the untimed trace
-// replay (the differential matrices sweep it; the timed sweeps restrict
+// replay (the differential engine replays it; the timed sweeps restrict
 // themselves to TimedExecValues).
 func ExecValues() []string {
 	out := make([]string, 0, len(machine.Execs)+1)

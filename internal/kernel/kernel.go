@@ -11,9 +11,11 @@
 //
 //   - the bench sweeps (internal/bench + internal/bench/sweep) expand axis
 //     products into runs without hand-wiring each kernel;
-//   - the differential matrices (matrix.go, driven by the tests in
-//     internal/integration) cross-validate every registered kernel across
-//     backends × policies × representations × relabelings byte-for-byte;
+//   - the differential engine (Differential, driven by the tests in
+//     internal/integration and by crcwbench -chaos) byte-compares every
+//     registered kernel's runs across backends, policies,
+//     representations, balances, relabelings, observers and chaos seeds
+//     against a bare-machine reference;
 //   - crcwbench's -list and -run flags introspect and select kernels
 //     generically;
 //   - the JSON validator checks row axis values against the same legal
@@ -21,13 +23,14 @@
 //
 // Adding a kernel (or a method alias of an existing one) is a single
 // Register call: it then appears in the sweeps, in -list, and in the
-// differential matrices with no other edits (see the extension test in
+// differential engine with no other edits (see the extension test in
 // internal/integration).
 package kernel
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
@@ -59,16 +62,15 @@ const (
 	ContentionNone Contention = iota
 	// ContentionGuarded kernels run with the per-cell probe attached and,
 	// under CAS-LT, have the paper's <=P executed-RMWs-per-cell-per-round
-	// bound enforced (scaled by ProbeBoundFactor).
+	// bound enforced (see ClaimBound).
 	ContentionGuarded
 	// ContentionEREW kernels are the negative control: they execute no
 	// concurrent writes, so their contention counters must stay zero.
 	ContentionEREW
-	// ContentionCAS kernels guard their writes with raw one-shot CAS claims
-	// (frontier-style "claim if unvisited") that never consume round ids, so
-	// their snapshots legitimately report zero rounds-to-convergence. The
-	// contention sweep skips them: its row discipline requires the
-	// round-structured protocol of the cw layer.
+	// ContentionCAS kernels guard their writes with one-shot "claim if
+	// unvisited" claims (frontier style) rather than the round-structured
+	// protocol of the cw layer that the contention sweep's row discipline
+	// requires, so the sweep skips them and ClaimBound sets them no bound.
 	ContentionCAS
 )
 
@@ -232,6 +234,17 @@ func (d *Descriptor) SupportsMethod(m cw.Method) bool {
 	return false
 }
 
+// ClaimBound is the paper's bound on the executed read-modify-writes one
+// cell absorbs in one round of a method's run at p workers: p, scaled by
+// ProbeBoundFactor, for a CAS-LT run of a ContentionGuarded kernel. Every
+// other run is unbounded, reported as 0.
+func (d *Descriptor) ClaimBound(method cw.Method, p int) uint64 {
+	if method != cw.CASLT || d.Contention != ContentionGuarded {
+		return 0
+	}
+	return uint64(max(d.ProbeBoundFactor, 1)) * uint64(p)
+}
+
 // Projection flattens a validated outcome to the comparable byte
 // fingerprint: the canonicalized vector little-endian plus the depth. A
 // nil vector projects to nil (no deterministic projection).
@@ -276,10 +289,17 @@ func CanonicalPartition(labels []uint32) []uint32 {
 // registries to exercise extension without polluting the suite.
 type Registry struct {
 	m map[string]*Descriptor
+
+	// mu guards refs, the reference projections Differential has computed
+	// for the registered kernels.
+	mu   sync.Mutex
+	refs map[refKey]map[cw.Method][]byte
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{m: map[string]*Descriptor{}} }
+func NewRegistry() *Registry {
+	return &Registry{m: map[string]*Descriptor{}, refs: map[refKey]map[cw.Method][]byte{}}
+}
 
 // Register adds a descriptor; duplicate names and structurally invalid
 // descriptors are rejected.
@@ -321,7 +341,7 @@ func (r *Registry) Lookup(name string) (*Descriptor, bool) {
 }
 
 // All returns every descriptor sorted by name — the deterministic order
-// -list and the matrices iterate in.
+// -list and the differential engine iterate in.
 func (r *Registry) All() []*Descriptor {
 	names := make([]string, 0, len(r.m))
 	for n := range r.m {

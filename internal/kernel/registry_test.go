@@ -8,6 +8,8 @@ import (
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
+	"crcwpram/internal/graph"
+	"crcwpram/internal/sched"
 )
 
 // stubInstance satisfies Instance for registry-shape tests that never run.
@@ -124,6 +126,97 @@ func TestDeterministic(t *testing.T) {
 	}
 	if !serial.Deterministic(1) || serial.Deterministic(2) {
 		t.Error("DetP=1 must hold at p=1 only")
+	}
+}
+
+func TestClaimBound(t *testing.T) {
+	cases := []struct {
+		contention Contention
+		factor     int
+		method     cw.Method
+		want       uint64
+	}{
+		{ContentionGuarded, 1, cw.CASLT, 4},
+		{ContentionGuarded, 2, cw.CASLT, 8},
+		{ContentionGuarded, 0, cw.CASLT, 4},
+		{ContentionGuarded, 1, cw.Gatekeeper, 0},
+		{ContentionGuarded, 1, cw.GatekeeperChecked, 0},
+		{ContentionGuarded, 1, cw.Naive, 0},
+		{ContentionGuarded, 1, cw.Mutex, 0},
+		{ContentionNone, 1, cw.CASLT, 0},
+		{ContentionEREW, 1, cw.CASLT, 0},
+		{ContentionCAS, 1, cw.CASLT, 0},
+	}
+	for _, c := range cases {
+		d := Descriptor{Contention: c.contention, ProbeBoundFactor: c.factor}
+		if got := d.ClaimBound(c.method, 4); got != c.want {
+			t.Errorf("contention %d factor %d: ClaimBound(%s, 4) = %d, want %d",
+				c.contention, c.factor, c.method, got, c.want)
+		}
+	}
+}
+
+// TestAxisVariantsCoverAxes checks that the reference run plus
+// AxisVariants' runs reach every (axis, value) pair a descriptor
+// declaring every axis advertises.
+func TestAxisVariantsCoverAxes(t *testing.T) {
+	d := &Descriptor{Methods: cw.Methods, Bitmap: true, Balanced: true, Relabelable: true, Input: InputGraph}
+	covered := map[string]bool{}
+	reached := func(s Settings, pol sched.Policy, mode graph.RelabelMode) {
+		repr := ReprValues()[0]
+		if s.Bitmap {
+			repr = ReprValues()[1]
+		}
+		for _, kv := range [][2]string{
+			{AxisMethod, s.Method.String()}, {AxisExec, s.Exec.String()}, {AxisPolicy, pol.String()},
+			{AxisBalance, s.Balance.String()}, {AxisRepr, repr}, {AxisRelabel, mode.String()},
+		} {
+			covered[kv[0]+"="+kv[1]] = true
+		}
+	}
+	for _, method := range d.Methods {
+		reached(Settings{Exec: machine.ExecTeam, Method: method}, sched.Block, graph.RelabelNone)
+	}
+	for _, v := range AxisVariants() {
+		pol := sched.Block
+		if v.Options != nil {
+			m := machine.New(1, v.Options(1)...)
+			pol = m.Policy()
+			m.Close()
+		}
+		for _, method := range d.Methods {
+			for _, r := range v.Runs(d, 2, method) {
+				reached(r.Settings, pol, r.Relabel)
+			}
+		}
+	}
+	for _, ax := range d.Axes() {
+		for _, val := range ax.Values {
+			if !covered[ax.Name+"="+val] {
+				t.Errorf("no reference or AxisVariants run has %s=%s", ax.Name, val)
+			}
+		}
+	}
+}
+
+// TestDifferentialKeepsReferences checks that a registry keeps the
+// reference runs Differential makes: a second call over it builds an
+// instance for every variant machine again but none for a reference.
+func TestDifferentialKeepsReferences(t *testing.T) {
+	built := 0
+	r := NewRegistry()
+	r.MustRegister(Descriptor{Name: "stub", Pkg: "p", Input: InputList,
+		New: func(*machine.Machine, Workload) Instance { built++; return stubInstance{} }})
+	again := Variant{Name: "again", Runs: teamRuns}
+	// Two worker counts: two references and two variant machines, then
+	// two more variant machines.
+	for call, want := range []int{4, 6} {
+		if err := Differential(r, []int{1, 2}, again); err != nil {
+			t.Fatal(err)
+		}
+		if built != want {
+			t.Fatalf("after call %d: %d instances built, want %d", call+1, built, want)
+		}
 	}
 }
 
