@@ -22,12 +22,13 @@
 // watching the invariants live.
 //
 // Wiring: machine.WithChaos(inj) attaches an injector to a machine; the
-// exec package then wraps the team backend's Ctx so every
-// work-shared loop passes through the injector, and the metrics layer
-// calls the injector's OnClaim hook (it implements metrics.ClaimHook)
-// after every recorded winner-selection attempt. The sticky-loser fault
-// additionally needs to re-drive claims, which the hook cannot do; wrap a
-// cw.Resolver in NewStickyResolver for that (see resolver.go).
+// round primitives of machine.TeamCtx, the team backend's exec.Ctx, then
+// pass every work-shared loop and explicit barrier through the injector,
+// and the metrics layer calls the injector's OnClaim hook (it implements
+// metrics.ClaimHook) after every recorded winner-selection attempt. The
+// sticky-loser fault additionally needs to re-drive claims, which the hook
+// cannot do; wrap a cw.Resolver in NewStickyResolver for that (see
+// resolver.go).
 package chaos
 
 import (

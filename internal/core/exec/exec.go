@@ -23,22 +23,22 @@
 //
 // Barrier semantics per backend:
 //
-//   - team: For/Range/Bounds end in one real sense barrier (TeamCtx
-//     semantics), Barrier() is that barrier alone, and Single elects
-//     worker 0 with a closing barrier.
+//   - team: the Ctx is the worker's machine.TeamCtx itself, so every
+//     work-shared loop ends in one real team barrier, Barrier() is that
+//     barrier alone, and Single elects worker 0 with a closing barrier.
 //   - trace: no synchronization exists (the replay is serial); barriers
 //     are counted, not executed.
 //
 // Because the convergence-flag idiom needs one shared word visible to all
-// workers, Flag() returns a region-level triple-buffered flag allocated
-// once per Run — all SPMD copies of the body observe the same Flag, which
-// a per-worker allocation inside the body could not provide.
+// workers, Flag() returns a region-level triple-buffered flag: the
+// machine's own under team, cleared as each region opens, and a fresh one
+// per Run under trace. All SPMD copies of the body observe the same Flag,
+// which a per-worker allocation inside the body could not provide.
 package exec
 
 import (
 	"context"
 	rtrace "runtime/trace"
-	"sync/atomic"
 
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/core/metrics"
@@ -101,43 +101,12 @@ type Ctx interface {
 	Metrics() *metrics.Recorder
 }
 
-// Flag is a rotating convergence flag for round loops, usable under every
-// backend: the race-free, barrier-free way for a region to decide when its
-// round loop has converged.
-//
-// A round loop needs one shared word per round — "did anything change?" —
-// that is primed before the round, written during it, and read after it to
-// decide termination. Inside one region the priming is the subtle part: a
-// worker that primes the flag for round r while a slow peer is still
-// reading it for round r-1 would corrupt the peer's break decision. Three
-// rotating slots (indexed round mod 3) make the pattern safe with no extra
-// barrier, provided each round ends with at least one barrier and the
-// calls follow the round structure:
-//
-//	Set(r+1, primeValue)  at the top of round r (any or all workers);
-//	Set(r,   seenValue)   during round r's work-shared loops;
-//	Get(r)                after round r's closing barrier.
-//
-// Why three slots suffice: slot (r+1)%3 equals slot (r-2)%3, and its last
-// reader — Get(r-2) — ran before that worker arrived at round r-1's
-// closing barrier, which every worker passes before priming at the top of
-// round r. Writes for round r+1 begin only after round r's barrier, after
-// all primes. Two slots would put the prime and the previous read in the
-// same unsynchronized window; three separates every conflicting pair by a
-// barrier. All accesses are atomic, so concurrent primes/sets of the same
-// value (the common-CW idiom) are race-detector clean. Under trace the
-// rotation is unnecessary but harmless; using one protocol everywhere
-// keeps kernel bodies backend-agnostic.
-type Flag struct {
-	slots [3]atomic.Uint32
-}
+// Flag is the rotating convergence flag of round loops (see
+// machine.Flag for its three-slot protocol).
+type Flag = machine.Flag
 
-// Set stores v into round r's slot. Safe for concurrent use by all
-// workers when they store the same value (the common-CW idiom).
-func (f *Flag) Set(r, v uint32) { f.slots[r%3].Store(v) }
-
-// Get loads round r's slot. Call it only after round r's closing barrier.
-func (f *Flag) Get(r uint32) uint32 { return f.slots[r%3].Load() }
+// The team backend's context is the machine's own per-worker TeamCtx.
+var _ Ctx = (*machine.TeamCtx)(nil)
 
 // Run executes body under the backend selected by e: team (one
 // persistent parallel region) or trace (serial counting replay). It
@@ -155,26 +124,15 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 		_, task := rtrace.NewTask(context.Background(), "pram/"+e.String())
 		defer task.End()
 	}
-	// The region's one shared Flag: allocated here, before the SPMD split,
-	// so every worker's Flag() call observes the same word.
-	flag := new(Flag)
 	switch e {
 	case machine.ExecTrace:
+		// The replay ignores a machine's chaos injector: a serial replay has
+		// no schedule to perturb.
 		st := &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}
-		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, rec: m.Metrics(), stats: st})
+		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: new(Flag), rec: m.Metrics(), stats: st})
 		return st
 	default:
-		// A machine carrying a chaos injector gets the team context
-		// wrapped in the fault-delivering one; the trace backend stays
-		// bare (a serial replay has no schedule to perturb).
-		inj := m.Chaos()
-		m.Team(func(tc *machine.TeamCtx) {
-			var c Ctx = &teamCtx{tc: tc, flag: flag, rec: m.Metrics()}
-			if inj != nil {
-				c = &chaosCtx{inner: c, inj: inj}
-			}
-			body(c)
-		})
+		m.Team(func(tc *machine.TeamCtx) { body(tc) })
 		return nil
 	}
 }

@@ -264,3 +264,62 @@ func TestFlagConvergenceLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocationsIndependentOfP pins that a team Run allocates nothing
+// per worker: the contexts and the flag are the machine's own, so a body
+// that makes no closures costs at most the one region closure Run hands to
+// Machine.Team, at every P.
+func TestRunAllocationsIndependentOfP(t *testing.T) {
+	body := func(ctx Ctx) {
+		ctx.Flag().Set(ctx.NextRound(), 1)
+		ctx.Barrier()
+	}
+	for _, p := range []int{1, 2, 4} {
+		m := machine.New(p)
+		if got := testing.AllocsPerRun(50, func() { Run(m, machine.ExecTeam, body) }); got > 1 {
+			t.Errorf("p=%d: %v allocations per Run, want at most 1", p, got)
+		}
+		m.Close()
+	}
+}
+
+// TestChaosSites pins where a team run takes its chaos decisions: each Ctx
+// primitive, run alone on a machine with a fresh injector, takes a fixed
+// number of decisions at every P — two per For iteration and per
+// Range/Bounds share, two per steal chunk, one per worker at an explicit
+// Barrier, and none in Single, Flag or NextRound.
+func TestChaosSites(t *testing.T) {
+	const faults = chaos.FaultStall | chaos.FaultJitter | chaos.FaultStealDelay
+	nop := func(int, int, int) {}
+	for i, p := range []int{1, 2, 4} {
+		bounds := make([]int, p+1)
+		for w := range bounds {
+			bounds[w] = 3 * w
+		}
+		cases := []struct {
+			name string
+			body func(Ctx)
+			want uint64
+		}{
+			{"For(100)", func(ctx Ctx) { ctx.For(100, func(int) {}) }, 200},
+			{"ForWorker(100)", func(ctx Ctx) { ctx.ForWorker(100, func(int, int) {}) }, 200},
+			{"Range(100)", func(ctx Ctx) { ctx.Range(100, nop) }, uint64(2 * p)},
+			{"Range(1)", func(ctx Ctx) { ctx.Range(1, nop) }, 2},
+			{"Bounds", func(ctx Ctx) { ctx.Bounds(bounds, nop) }, uint64(2 * p)},
+			// sched.StealChunk cuts every worker's share into 17 chunks.
+			{"StealRange(1000)", func(ctx Ctx) { ctx.StealRange(1000, nop) }, []uint64{34, 68, 136}[i]},
+			{"Barrier", func(ctx Ctx) { ctx.Barrier() }, uint64(p)},
+			{"Single", func(ctx Ctx) { ctx.Single(func() {}) }, 0},
+			{"Flag+NextRound", func(ctx Ctx) { ctx.Flag().Set(ctx.NextRound(), 1) }, 0},
+		}
+		for _, c := range cases {
+			inj := chaos.NewInjector(p, 11, faults)
+			m := machine.New(p, machine.WithChaos(inj))
+			Run(m, machine.ExecTeam, c.body)
+			m.Close()
+			if got := inj.Decisions(); got != c.want {
+				t.Errorf("p=%d %s: %d chaos decisions, want %d", p, c.name, got, c.want)
+			}
+		}
+	}
+}

@@ -76,12 +76,12 @@ func TestTeamBoundsExactCover(t *testing.T) {
 		m.Team(func(tc *TeamCtx) {
 			// Two rounds back to back: the closing barrier of the first
 			// must order it before the second.
-			tc.Bounds(bounds, func(lo, hi int) {
+			tc.Bounds(bounds, func(lo, hi, _ int) {
 				for i := lo; i < hi; i++ {
 					counts[i].Add(1)
 				}
 			})
-			tc.Bounds(bounds, func(lo, hi int) {
+			tc.Bounds(bounds, func(lo, hi, _ int) {
 				for i := lo; i < hi; i++ {
 					if counts[i].Load() != 1 {
 						panic("first round not complete at second round")

@@ -62,18 +62,20 @@ type Machine struct {
 	// Team-region state (team.go): one padded context per worker, the
 	// worker-only barrier, the one pre-allocated cursor shared by all
 	// dynamic/guided team loops, the ticket/ready words of its per-loop
-	// reset protocol, and the abort flag a panicking team body raises.
+	// reset protocol, the abort flag a panicking team body raises, and the
+	// convergence flag every region shares, cleared as the region opens.
 	tcs         []TeamCtx
 	teamBar     *teamBarrier
 	teamCur     *sched.Cursor
 	teamTicket  atomic.Uint64
 	teamReady   atomic.Uint64
 	teamAborted atomic.Bool
+	flag        Flag
 
 	// steal is the one pre-allocated work-stealing deque set shared by all
 	// stealing loops (the sched.Stealing policy, ParallelSteal and
-	// TeamCtx.Steal). Like teamCur it is reset per loop through the team
-	// ticket protocol, never per machine.
+	// TeamCtx.StealRange). Like teamCur it is reset per loop through the
+	// team ticket protocol, never per machine.
 	steal *sched.Stealer
 
 	// rec is the live-metrics recorder, nil unless WithMetrics was given.
@@ -82,8 +84,8 @@ type Machine struct {
 	rec *metrics.Recorder
 
 	// chaos is the schedule-perturbation injector, nil unless WithChaos
-	// was given. The exec backends wrap their contexts around it and the
-	// recorder drives it from the claim sites (it implies metrics).
+	// was given. TeamCtx's round primitives call it at their yield points
+	// and the recorder drives it from the claim sites (it implies metrics).
 	chaos *chaos.Injector
 
 	// evt is the event-trace flight recorder, nil unless WithEventTrace
@@ -152,16 +154,17 @@ func WithMetrics() Option { return func(m *Machine) { m.rec = metrics.NewRecorde
 // stay byte-identical to untraced ones.
 func WithEventTrace(r *evtrace.Recorder) Option { return func(m *Machine) { m.evt = r } }
 
-// WithChaos attaches a deterministic schedule-perturbation injector: the
-// team execution backend delivers its faults at its instrumented yield
-// points (loop iterations, barrier arrivals, steal chunk deliveries), and
-// every recorded claim site drives its loss perturbations through the
-// metrics claim hook. Chaos implies metrics — a machine built with
-// WithChaos allocates a recorder even without WithMetrics — because the
-// claim sites are the metrics layer's. Faults only burn time and yield,
-// so a perturbed run of a deterministic kernel must produce
-// byte-identical results; kernel.Differential enforces that across the
-// whole registry with kernel.ChaosVariants. Never time a chaos run.
+// WithChaos attaches a deterministic schedule-perturbation injector:
+// TeamCtx's round primitives deliver its faults at their yield points
+// (loop iterations and shares, explicit barrier arrivals, steal chunk
+// deliveries), and every recorded claim site drives its loss
+// perturbations through the metrics claim hook. Chaos implies metrics — a
+// machine built with WithChaos allocates a recorder even without
+// WithMetrics — because the claim sites are the metrics layer's. Faults
+// only burn time and yield, so a perturbed run of a deterministic kernel
+// must produce byte-identical results; kernel.Differential enforces that
+// across the whole registry with kernel.ChaosVariants. Never time a chaos
+// run.
 func WithChaos(inj *chaos.Injector) Option { return func(m *Machine) { m.chaos = inj } }
 
 // New returns a Machine with p workers: the calling goroutine, which runs
@@ -250,8 +253,7 @@ func (m *Machine) Closed() bool { return m.closed }
 func (m *Machine) Metrics() *metrics.Recorder { return m.rec }
 
 // Chaos returns the machine's schedule-perturbation injector, or nil when
-// the machine was created without WithChaos. The exec backends consult it
-// when building their contexts.
+// the machine was created without WithChaos.
 func (m *Machine) Chaos() *chaos.Injector { return m.chaos }
 
 // Events returns the machine's event-trace flight recorder, or nil when
@@ -338,7 +340,7 @@ func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 // ParallelBounds. Implicit barrier on return, like every Parallel* round.
 func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.stealShare(n, func(lo, hi int) { body(lo, hi, tc.W) }) })
+		m.Team(func(tc *TeamCtx) { tc.stealShare(n, body) })
 	}
 }
 
@@ -348,7 +350,7 @@ func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 // and for per-worker reductions. The partitioning policy is always Block.
 func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.rangeShare(n, func(lo, hi int) { body(lo, hi, tc.W) }) })
+		m.Team(func(tc *TeamCtx) { tc.rangeShare(n, body) })
 	}
 }
 
@@ -364,24 +366,8 @@ func (m *Machine) ParallelBounds(bounds []int, body func(lo, hi, w int)) {
 		panic(fmt.Sprintf("machine: ParallelBounds: %d bounds for %d workers", len(bounds), m.p))
 	}
 	if bounds[m.p] > bounds[0] {
-		m.Team(func(tc *TeamCtx) { tc.boundsShare(bounds, func(lo, hi int) { body(lo, hi, tc.W) }) })
+		m.Team(func(tc *TeamCtx) { tc.boundsShare(bounds, body) })
 	}
-}
-
-// ParallelFor2D executes body(i, j) for every pair in [0, n1) x [0, n2),
-// collapsing the two loops into one index space exactly like the paper's
-// `#pragma omp for collapse(2)` in the maximum kernel (Figure 4).
-func (m *Machine) ParallelFor2D(n1, n2 int, body func(i, j int)) {
-	if n1 <= 0 || n2 <= 0 {
-		return
-	}
-	total := n1 * n2
-	if total/n1 != n2 {
-		panic(fmt.Sprintf("machine: ParallelFor2D overflow: %d x %d", n1, n2))
-	}
-	m.ParallelFor(total, func(k int) {
-		body(k/n2, k%n2)
-	})
 }
 
 // reraise re-raises the first recorded worker panic on the caller,

@@ -92,27 +92,6 @@ func TestParallelRangeBlocksPartition(t *testing.T) {
 	}
 }
 
-func TestParallelFor2DCollapse(t *testing.T) {
-	m := New(4)
-	defer m.Close()
-	const n1, n2 = 37, 53
-	counts := make([]atomic.Int32, n1*n2)
-	m.ParallelFor2D(n1, n2, func(i, j int) {
-		if i < 0 || i >= n1 || j < 0 || j >= n2 {
-			panic("index out of range")
-		}
-		counts[i*n2+j].Add(1)
-	})
-	for k := range counts {
-		if counts[k].Load() != 1 {
-			t.Fatalf("pair %d visited %d times", k, counts[k].Load())
-		}
-	}
-	// Degenerate dimensions are no-ops.
-	m.ParallelFor2D(0, 10, func(i, j int) { t.Error("body called for n1=0") })
-	m.ParallelFor2D(10, 0, func(i, j int) { t.Error("body called for n2=0") })
-}
-
 func TestRoundCounter(t *testing.T) {
 	m := New(2)
 	defer m.Close()
@@ -241,18 +220,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-func TestParallelFor2DOverflowPanics(t *testing.T) {
-	m := New(2)
-	defer m.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflowing dimensions did not panic")
-		}
-	}()
-	const huge = 1 << 32
-	m.ParallelFor2D(huge, huge, func(i, j int) {})
 }
 
 func TestAccessors(t *testing.T) {

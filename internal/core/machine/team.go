@@ -4,13 +4,14 @@
 // around the whole round loop (Figures 3-5) and pay one team barrier per
 // round. Team reproduces that shape: the kernel body runs once on all P
 // workers simultaneously, and the in-region primitives on TeamCtx — For /
-// ForWorker / Range / Bounds / Steal (work-shared loop ending in a team
-// barrier), Single (one worker executes, the rest wait), and Barrier —
-// mirror `omp for`, `omp single` and `#pragma omp barrier`. As OpenMP's
-// master thread is, the caller is worker 0 of the team: it runs its copy of
-// the body next to the P-1 helpers. Entering a region costs the region
-// barrier's two P-party phases; each round inside it costs one P-party team
-// barrier.
+// ForWorker / Range / Bounds / StealRange (work-shared loop ending in a
+// team barrier), Single (one worker executes, the rest wait), and Barrier —
+// mirror `omp for`, `omp single` and `#pragma omp barrier`. TeamCtx is
+// also the team backend's exec.Ctx: the exec package hands it to kernel
+// bodies as it is. As OpenMP's master thread is, the caller is worker 0 of
+// the team: it runs its copy of the body next to the P-1 helpers. Entering
+// a region costs the region barrier's two P-party phases; each round inside
+// it costs one P-party team barrier.
 //
 // The Parallel* entry points are one-loop regions: each worker runs its
 // share of the loop with no trailing team barrier, because the region's
@@ -20,7 +21,7 @@
 // the same shared state, so control flow that feeds a team primitive
 // (loop trip counts, the n passed to For/Range, break decisions) must be
 // computed identically by all workers — either from worker-local
-// deterministic state or from shared state read after a barrier. exec.Flag
+// deterministic state or from shared state read after a barrier. Flag
 // packages the standard convergence-flag pattern race-free.
 package machine
 
@@ -29,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crcwpram/internal/core/metrics"
 	evtrace "crcwpram/internal/core/trace"
 	"crcwpram/internal/sched"
 )
@@ -82,8 +84,18 @@ func (b *teamBarrier) wait(abort *atomic.Bool) bool {
 	return true
 }
 
-// TeamCtx is one worker's view of a team region. It is valid only inside
-// the body passed to Machine.Team and must not leak to other goroutines.
+// TeamCtx is one worker's view of a team region, and the team backend's
+// exec.Ctx. It is valid only inside the body passed to Machine.Team and
+// must not leak to other goroutines.
+//
+// On a metrics machine worker 0 is the region's coordinator: it times each
+// work-shared loop, closing barrier included, and counts the NextRound
+// advances, so one worker writes the recorder's round counters. On a chaos
+// machine the round primitives are the injector's yield points: a stall
+// before and after each For iteration and each Range/Bounds share, a delay
+// before and a stall after each StealRange chunk, and jitter at an
+// explicit Barrier's arrival. The Parallel* one-loop regions call the
+// share primitives and are never perturbed.
 type TeamCtx struct {
 	m *Machine
 	// W is this worker's id in [0, P). Use it for worker-local scratch
@@ -97,6 +109,9 @@ type TeamCtx struct {
 	// region-local round ids event-trace spans carry. Like epoch it
 	// advances identically in every SPMD copy.
 	loops uint32
+	// round is this worker's copy of the region round counter NextRound
+	// advances; like loops it agrees across the SPMD copies.
+	round uint32
 	// The machine keeps one TeamCtx per worker in a slice; pad each to its
 	// own cache lines so the per-loop counter updates never false-share.
 	_ [128 - 4*8]byte
@@ -109,14 +124,50 @@ func (tc *TeamCtx) beginLoop() evtrace.Active {
 	return tc.m.evt.Worker(tc.W).Begin(evtrace.KindRound, tc.loops)
 }
 
+// coordinates reports whether this worker records the coordinator
+// metrics: worker 0 on a metrics machine.
+func (tc *TeamCtx) coordinates() bool { return tc.W == 0 && tc.m.rec != nil }
+
+// openLoop starts a work-shared loop's clock: the start time on the
+// coordinator, the zero time on every other worker.
+func (tc *TeamCtx) openLoop() (t0 time.Time) {
+	if tc.coordinates() {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+// closeLoop ends a work-shared loop opened at t0 with its team barrier;
+// the coordinator then credits the loop's wall time, closing barrier
+// included, as one round.
+func (tc *TeamCtx) closeLoop(t0 time.Time) {
+	tc.barrier()
+	if tc.coordinates() {
+		tc.m.rec.AddRoundTime(time.Since(t0))
+	}
+}
+
 // P returns the team size (the machine's worker count).
 func (tc *TeamCtx) P() int { return tc.m.p }
 
+// Worker returns this worker's id, tc.W.
+func (tc *TeamCtx) Worker() int { return tc.W }
+
 // Barrier synchronizes the team: no worker proceeds until all have
 // arrived. It is the in-region synchronization point the paper requires
-// between a concurrent-write round and its dependent reads. A one-worker
-// team has nothing to wait for.
+// between a concurrent-write round and its dependent reads. On a chaos
+// machine the arrival is a barrier-jitter site, even on a one-worker team,
+// which has nothing to wait for.
 func (tc *TeamCtx) Barrier() {
+	if inj := tc.m.chaos; inj != nil {
+		inj.BarrierJitter(tc.W)
+	}
+	tc.barrier()
+}
+
+// barrier is the team barrier itself, which closes every work-shared loop
+// and Single: Barrier without its chaos site.
+func (tc *TeamCtx) barrier() {
 	if tc.m.p == 1 {
 		return
 	}
@@ -146,8 +197,17 @@ func (tc *TeamCtx) Barrier() {
 // with a team barrier before For returns. All workers must call For with
 // the same n (SPMD discipline); bodies run concurrently on distinct i.
 func (tc *TeamCtx) For(n int, body func(i int)) {
+	if inj := tc.m.chaos; inj != nil {
+		w, f := tc.W, body
+		body = func(i int) {
+			inj.IterPre(w)
+			f(i)
+			inj.IterPost(w)
+		}
+	}
+	t0 := tc.openLoop()
 	tc.forShare(n, body)
-	tc.Barrier()
+	tc.closeLoop(t0)
 }
 
 // ForWorker is For with the executing worker's id passed to the body, for
@@ -158,37 +218,66 @@ func (tc *TeamCtx) ForWorker(n int, body func(i, w int)) {
 }
 
 // Range executes one work-shared round in block form: this worker's
-// contiguous share [lo, hi) of [0, n) is passed once, followed by a team
-// barrier. The partitioning is always Block, like ParallelRange. The
-// worker id is available as tc.W.
-func (tc *TeamCtx) Range(n int, body func(lo, hi int)) {
+// contiguous share [lo, hi) of [0, n) is passed once with its id, followed
+// by a team barrier. The partitioning is always Block, like ParallelRange.
+// A worker with an empty share goes straight to the barrier.
+func (tc *TeamCtx) Range(n int, body func(lo, hi, w int)) {
+	body = tc.perturbShare(body)
+	t0 := tc.openLoop()
 	tc.rangeShare(n, body)
-	tc.Barrier()
+	tc.closeLoop(t0)
 }
 
 // Bounds executes one work-shared round in block form over caller-supplied
 // shard boundaries: this worker receives [bounds[tc.W], bounds[tc.W+1])
-// once, followed by a team barrier — the in-region analogue of
+// once with its id, followed by a team barrier — the in-region analogue of
 // Machine.ParallelBounds. All workers must pass the same bounds slice (SPMD
 // discipline), with len(bounds) == P()+1 and non-decreasing entries; a
 // worker with an empty shard goes straight to the barrier.
-func (tc *TeamCtx) Bounds(bounds []int, body func(lo, hi int)) {
+func (tc *TeamCtx) Bounds(bounds []int, body func(lo, hi, w int)) {
 	if len(bounds) != tc.m.p+1 {
 		panic("machine: TeamCtx.Bounds: bounds length must be P()+1")
 	}
+	body = tc.perturbShare(body)
+	t0 := tc.openLoop()
 	tc.boundsShare(bounds, body)
-	tc.Barrier()
+	tc.closeLoop(t0)
 }
 
-// Steal executes one work-shared round under work stealing regardless of
-// the machine's policy — the in-region analogue of Machine.ParallelSteal.
-// The index space [0, n) is cut into chunks seeded onto per-worker deques;
-// body receives each chunk this worker claims (its own share in ascending
-// order, then whatever it steals), followed by a team barrier. All workers
-// must call Steal with the same n (SPMD discipline).
-func (tc *TeamCtx) Steal(n int, body func(lo, hi int)) {
+// perturbShare wraps a Range/Bounds share body in the chaos injector's
+// stall sites, one before and one after the share; on a machine without
+// an injector it returns body unchanged.
+func (tc *TeamCtx) perturbShare(body func(lo, hi, w int)) func(lo, hi, w int) {
+	inj := tc.m.chaos
+	if inj == nil {
+		return body
+	}
+	return func(lo, hi, w int) {
+		inj.IterPre(w)
+		body(lo, hi, w)
+		inj.IterPost(w)
+	}
+}
+
+// StealRange executes one work-shared round under work stealing regardless
+// of the machine's policy — the in-region analogue of
+// Machine.ParallelSteal. The index space [0, n) is cut into chunks seeded
+// onto per-worker deques; body receives each chunk this worker claims (its
+// own share in ascending order, then whatever it steals) with this
+// worker's id, followed by a team barrier. All workers must call
+// StealRange with the same n (SPMD discipline).
+func (tc *TeamCtx) StealRange(n int, body func(lo, hi, w int)) {
+	if inj := tc.m.chaos; inj != nil {
+		f := body
+		body = func(lo, hi, w int) {
+			inj.StealDelay(w)
+			f(lo, hi, w)
+			inj.IterPost(w)
+		}
+	}
+	t0 := tc.openLoop()
 	tc.stealShare(n, body)
-	tc.Barrier()
+	tc.closeLoop(t0)
 }
 
 // Single executes f on exactly one worker (worker 0) while the others wait
@@ -200,8 +289,28 @@ func (tc *TeamCtx) Single(f func()) {
 	if tc.W == 0 {
 		f()
 	}
-	tc.Barrier()
+	tc.barrier()
 }
+
+// Flag returns the machine's convergence flag, which every worker of the
+// region shares and Team clears when the region opens.
+func (tc *TeamCtx) Flag() *Flag { return &tc.m.flag }
+
+// NextRound advances this worker's copy of the region round counter and
+// returns it (1, 2, 3, ...). All workers execute the same round sequence
+// (SPMD discipline), so their counters agree without synchronization. The
+// coordinator credits each advance to the metrics recorder.
+func (tc *TeamCtx) NextRound() uint32 {
+	tc.round++
+	if tc.coordinates() {
+		tc.m.rec.AddRounds(1)
+	}
+	return tc.round
+}
+
+// Metrics returns the machine's live-metrics recorder, nil when metrics
+// are off.
+func (tc *TeamCtx) Metrics() *metrics.Recorder { return tc.m.rec }
 
 // forShare runs this worker's share of a work-shared loop over [0, n)
 // under the machine's policy, without a closing barrier.
@@ -229,35 +338,36 @@ func (tc *TeamCtx) forShare(n int, body func(i int)) {
 
 // rangeShare runs this worker's Block share of [0, n) once, without a
 // closing barrier; an empty share skips the body.
-func (tc *TeamCtx) rangeShare(n int, body func(lo, hi int)) {
+func (tc *TeamCtx) rangeShare(n int, body func(lo, hi, w int)) {
 	if n <= 0 {
 		return
 	}
 	a := tc.beginLoop()
 	if lo, hi := sched.BlockRange(n, tc.m.p, tc.W); lo < hi {
-		body(lo, hi)
+		body(lo, hi, tc.W)
 	}
 	a.End()
 }
 
 // boundsShare runs this worker's caller-placed shard once, without a
 // closing barrier; an empty shard skips the body.
-func (tc *TeamCtx) boundsShare(bounds []int, body func(lo, hi int)) {
+func (tc *TeamCtx) boundsShare(bounds []int, body func(lo, hi, w int)) {
 	a := tc.beginLoop()
 	if lo, hi := bounds[tc.W], bounds[tc.W+1]; lo < hi {
-		body(lo, hi)
+		body(lo, hi, tc.W)
 	}
 	a.End()
 }
 
 // stealShare runs this worker's part of a stealing loop over [0, n),
 // without a closing barrier.
-func (tc *TeamCtx) stealShare(n int, body func(lo, hi int)) {
+func (tc *TeamCtx) stealShare(n int, body func(lo, hi, w int)) {
 	if n <= 0 {
 		return
 	}
 	a := tc.beginLoop()
-	tc.drainSteal(n, body)
+	w := tc.W
+	tc.drainSteal(n, func(lo, hi int) { body(lo, hi, w) })
 	a.End()
 }
 
@@ -300,6 +410,53 @@ func (tc *TeamCtx) resetLoop(reset func()) {
 	}
 }
 
+// Flag is a rotating convergence flag for round loops, usable under every
+// exec backend: the race-free, barrier-free way for a region to decide
+// when its round loop has converged. The machine owns one, which TeamCtx
+// hands to every worker of a region.
+//
+// A round loop needs one shared word per round — "did anything change?" —
+// that is primed before the round, written during it, and read after it to
+// decide termination. Inside one region the priming is the subtle part: a
+// worker that primes the flag for round r while a slow peer is still
+// reading it for round r-1 would corrupt the peer's break decision. Three
+// rotating slots (indexed round mod 3) make the pattern safe with no extra
+// barrier, provided each round ends with at least one barrier and the
+// calls follow the round structure:
+//
+//	Set(r+1, primeValue)  at the top of round r (any or all workers);
+//	Set(r,   seenValue)   during round r's work-shared loops;
+//	Get(r)                after round r's closing barrier.
+//
+// Why three slots suffice: slot (r+1)%3 equals slot (r-2)%3, and its last
+// reader — Get(r-2) — ran before that worker arrived at round r-1's
+// closing barrier, which every worker passes before priming at the top of
+// round r. Writes for round r+1 begin only after round r's barrier, after
+// all primes. Two slots would put the prime and the previous read in the
+// same unsynchronized window; three separates every conflicting pair by a
+// barrier. All accesses are atomic, so concurrent primes/sets of the same
+// value (the common-CW idiom) are race-detector clean. Under the serial
+// trace replay the rotation is unnecessary but harmless; using one
+// protocol everywhere keeps kernel bodies backend-agnostic.
+type Flag struct {
+	slots [3]atomic.Uint32
+}
+
+// Set stores v into round r's slot. Safe for concurrent use by all
+// workers when they store the same value (the common-CW idiom).
+func (f *Flag) Set(r, v uint32) { f.slots[r%3].Store(v) }
+
+// Get loads round r's slot. Call it only after round r's closing barrier.
+func (f *Flag) Get(r uint32) uint32 { return f.slots[r%3].Load() }
+
+// clear zeroes every slot, so a region's round 0 reads "changed" without
+// a prime, as from a fresh flag.
+func (f *Flag) clear() {
+	for i := range f.slots {
+		f.slots[i].Store(0)
+	}
+}
+
 // Team runs body once on all P workers simultaneously — one persistent
 // parallel region, the shape of the paper's OpenMP kernels. The caller is
 // worker 0: it runs its own copy of body and returns once every worker has
@@ -316,10 +473,11 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 		panic("machine: use after Close")
 	}
 	// Fresh region: worker-local epochs restart at 0, so rewind the shared
-	// loop-reset protocol words. The start barrier publishes this to the
-	// helpers.
+	// loop-reset protocol words, and the region's flag starts clear. The
+	// start barrier publishes this to the helpers.
 	m.teamTicket.Store(0)
 	m.teamReady.Store(0)
+	m.flag.clear()
 	m.step = stepDesc{region: body, seq: m.nextSeq(), panics: m.step.panics}
 	if m.bar != nil {
 		m.bar.Wait(0) // start phase: the helpers pick up the region body
@@ -348,7 +506,7 @@ func (m *Machine) runRegion(st stepDesc, id int) {
 		}
 	}()
 	tc := &m.tcs[id]
-	tc.epoch, tc.loops = 0, 0
+	tc.epoch, tc.loops, tc.round = 0, 0, 0
 	st.region(tc)
 }
 

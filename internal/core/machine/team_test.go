@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"crcwpram/internal/sched"
 )
@@ -78,11 +79,11 @@ func TestTeamRangeSingleAndWorkerIDs(t *testing.T) {
 		if tc.W < 0 || tc.W >= p || tc.P() != p {
 			badW.Add(1)
 		}
-		tc.Range(n, func(lo, hi int) {
+		tc.Range(n, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				counts[i].Add(1)
 			}
-			perWorker[tc.W] = hi - lo // worker-local slot: no race
+			perWorker[w] = hi - lo // worker-local slot: no race
 		})
 		tc.Single(func() { singles.Add(1) })
 		// Single's writes are team-visible after its barrier.
@@ -217,7 +218,7 @@ func TestTeamSingleWorkerInline(t *testing.T) {
 		tc.For(10, func(i int) { ran++ })
 		tc.Barrier()
 		tc.Single(func() { ran++ })
-		tc.Range(5, func(lo, hi int) { ran += hi - lo })
+		tc.Range(5, func(lo, hi, _ int) { ran += hi - lo })
 	})
 	if ran != 16 {
 		t.Fatalf("ran = %d, want 16", ran)
@@ -256,6 +257,15 @@ func TestTeamInterleavedWithPoolRounds(t *testing.T) {
 			t.Fatalf("%v: total = %d, want 3000", policy, total.Load())
 		}
 		m.Close()
+	}
+}
+
+// TestTeamCtxSize pins TeamCtx to two cache lines: the machine keeps one
+// per worker in a slice, and the padding keeps each worker's loop counters
+// off its neighbours' lines.
+func TestTeamCtxSize(t *testing.T) {
+	if s := unsafe.Sizeof(TeamCtx{}); s != 128 {
+		t.Fatalf("TeamCtx is %d bytes, want 128", s)
 	}
 }
 

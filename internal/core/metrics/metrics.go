@@ -14,14 +14,12 @@
 // update is a plain (non-atomic) increment on the caller's own shard —
 // no shared cache line is written on the hot path, so the instrumented-on
 // cost is a few predictable instructions per selection attempt. The
-// machine's existing step barriers order all shard writes before the
-// coordinator's Snapshot read (the same happens-before edge the machine
-// already relies on for panic propagation), so Snapshot is race-free
-// with no atomics in the per-claim recording path. The one exception is
-// the barrier-wait stamp: it is credited as the worker leaves the closing
-// barrier — after the coordinator may already be running — so that field
-// alone is atomic, written once per step rather than per claim, still on
-// the worker's own padded line.
+// machine's region barriers order all shard writes before the caller's
+// Snapshot read (the same happens-before edge the machine already relies
+// on for panic propagation), so Snapshot is race-free with no atomics in
+// the recording path. That holds for the barrier-wait time too: a worker
+// credits its end-phase wait after the end barrier releases it, but the
+// machine's settle step holds the caller until every worker has.
 //
 // When metrics are off (the default; see machine.WithMetrics) every handle
 // in the chain is nil, and every method in this package is nil-receiver
@@ -58,13 +56,11 @@ type Shard struct {
 	losses   uint64
 	skips    uint64 // pre-check skips: no atomic executed
 	busyNs   int64  // time spent inside loop bodies
-	// barrierNs is the one atomic field: the end-of-step wait is credited
-	// as the worker *leaves* the closing barrier, which may be after the
-	// coordinator has already been released — so this write alone is not
-	// ordered by the barrier and needs atomicity against Snapshot/Reset.
-	// It is still uncontended (only the owning worker adds) and happens
-	// once per step/barrier, not per recorded claim.
-	barrierNs atomic.Int64
+	// barrierNs is the time spent waiting at barriers, credited once per
+	// barrier. The end-phase wait is credited as the worker leaves the end
+	// barrier; the machine's settle step orders that credit before the
+	// caller returns from the region.
+	barrierNs int64
 	// Work-stealing scheduler counters (the sched.Stealing policy): chunks
 	// popped from the worker's own deque, chunks stolen from victims, and
 	// steal CAS attempts lost to a racing claimant. Credited once per
@@ -140,13 +136,11 @@ func (s *Shard) AddBusy(d time.Duration) {
 	}
 }
 
-// AddBarrierWait credits d of barrier waiting time to this worker. The
-// add is atomic because end-of-step waits are credited after the worker
-// clears the closing barrier, concurrently with a coordinator that the
-// same barrier already released (see Shard.barrierNs). Nil-safe.
+// AddBarrierWait credits d of barrier waiting time to this worker.
+// Nil-safe.
 func (s *Shard) AddBarrierWait(d time.Duration) {
 	if s != nil {
-		s.barrierNs.Add(int64(d))
+		s.barrierNs += int64(d)
 	}
 }
 
@@ -158,7 +152,7 @@ func (s *Shard) BarrierWaitTotal() time.Duration {
 	if s == nil {
 		return 0
 	}
-	return time.Duration(s.barrierNs.Load())
+	return time.Duration(s.barrierNs)
 }
 
 // Recorder aggregates the shards of one machine's workers plus the
@@ -314,10 +308,7 @@ func (r *Recorder) SetClaimHook(h ClaimHook) {
 
 // Reset zeroes all counters (keeping an enabled probe enabled, with its
 // cells cleared). It must not race with recording — call it between runs,
-// outside any parallel region. (The barrier-wait field is stored
-// atomically so that a worker still crediting the previous step's
-// end-barrier wait cannot corrupt it; at worst that one wait lands on
-// whichever side of the reset the scheduler picks.)
+// outside any parallel region.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -326,8 +317,7 @@ func (r *Recorder) Reset() {
 		sh := &r.shards[w]
 		sh.attempts, sh.wins, sh.losses, sh.skips = 0, 0, 0, 0
 		sh.chunksLocal, sh.steals, sh.stealFails = 0, 0, 0
-		sh.busyNs = 0
-		sh.barrierNs.Store(0)
+		sh.busyNs, sh.barrierNs = 0, 0
 	}
 	r.roundNs, r.rounds = 0, 0
 	r.roundDur = r.roundDur[:0]
@@ -401,10 +391,9 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.Steals += sh.steals
 		s.StealFails += sh.stealFails
 		s.BusyNs += sh.busyNs
-		bw := sh.barrierNs.Load()
-		s.BarrierWaitNs += bw
+		s.BarrierWaitNs += sh.barrierNs
 		s.WorkerBusyNs[w] = sh.busyNs
-		s.WorkerBarrier[w] = bw
+		s.WorkerBarrier[w] = sh.barrierNs
 		s.WorkerAttempts[w] = sh.attempts
 	}
 	if r.probe != nil {
