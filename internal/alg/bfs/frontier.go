@@ -35,6 +35,17 @@ import (
 // array, and each shard takes a near-equal-arc slice of it
 // (sched.WeightedRange), so one hub on the frontier no longer serializes
 // the level behind a single worker.
+//
+// Under vertex balance without stealing, a level whose work (frontier
+// vertices plus their arcs) is below oneWorkerGrain, the grain set at the
+// measured crossover, runs on worker 0 alone (OneWorkerLevel), as one
+// Bounds round whose other shares are empty. Split across the team, such
+// a level has every worker claim and write the same few lines of the
+// claim cells, visited, level, parent and selEdge, and read the buffers
+// another worker filled, so those lines cross cores every level for a
+// handful of arcs. The level keeps its one step, its one barrier and its
+// CAS-LT claims; only the partition changes, so results and round counts
+// do not.
 
 // discBuf is one worker's discovery buffer for one level parity. Level L's
 // winners append to the executing worker's buffer in set (L+1)&1; level
@@ -158,6 +169,10 @@ type levelLoop struct {
 	L, round         uint32
 	f                frontierView
 
+	// solo is the one-worker level's shard boundaries: worker 0 takes the
+	// whole frontier, every other share is empty.
+	solo []int
+
 	relaxAt, relaxShard, markAt           func(i, w int)
 	relaxChunk, sumDegrees, prefixDegrees func(lo, hi, w int)
 	clearCur, pullSweep                   func(lo, hi, w int)
@@ -171,11 +186,13 @@ func (k *Kernel) newLevelLoop(ctx exec.Ctx) *levelLoop {
 	l := &levelLoop{
 		k: k, ctx: ctx, rec: ctx.Metrics(),
 		offsets: k.g.Offsets(), targets: k.g.Targets(),
-		f: frontierView{off: make([]int, p+1)},
+		f:    frontierView{off: make([]int, p+1)},
+		solo: make([]int, p+1),
 	}
 	l.relaxAt = func(i, w int) { l.relax(l.f.at(i), w) }
-	// The executing worker owns the discovery buffer it appends to, so
-	// chunk migration under stealing never moves a buffer between workers
+	// The body of stealing chunks and of the one-worker level's share. The
+	// executing worker owns the discovery buffer it appends to, so chunk
+	// migration under stealing never moves a buffer between workers
 	// mid-append. Stealing slots past the frontier are empty (see push).
 	l.relaxChunk = func(lo, hi, w int) { l.relaxRange(lo, min(hi, l.f.len()), w) }
 
@@ -306,7 +323,10 @@ func (l *levelLoop) relaxRange(lo, hi, w int) {
 
 // push runs the current level top-down: every frontier vertex relaxes its
 // arcs. Partitioning follows the kernel's balance policy, and the level
-// ends with its last loop's closing barrier.
+// ends with its last loop's closing barrier. Under vertex balance without
+// stealing, a level below oneWorkerGrain units of work runs on worker 0
+// alone (OneWorkerLevel): split, its few state lines would cross cores
+// every level.
 func (l *levelLoop) push() {
 	k, ctx, nf := l.k, l.ctx, l.f.len()
 	if k.balance == graph.BalanceEdge && nf > 1 {
@@ -324,6 +344,13 @@ func (l *levelLoop) push() {
 		// always an owner's pop: a frontier smaller than P is not left to
 		// thieves racing its owners.
 		ctx.StealRange(max(nf, ctx.P()), l.relaxChunk)
+		return
+	}
+	if OneWorkerLevel(uint64(nf), l.f.arcs) {
+		for w := 1; w < len(l.solo); w++ {
+			l.solo[w] = nf
+		}
+		ctx.Bounds(l.solo, l.relaxChunk)
 		return
 	}
 	ctx.ForWorker(nf, l.relaxAt)

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,81 @@ func TestFrontierAllocationsIndependentOfDepth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneWorkerLevel pins the one-worker grain: a push level whose
+// frontier vertices plus arcs come to fewer than 256 units runs on one
+// worker, one of 256 units or more is shared.
+func TestOneWorkerLevel(t *testing.T) {
+	cases := []struct {
+		nf, mf uint64
+		want   bool
+	}{
+		{1, 0, true},
+		{4, 16, true},
+		{255, 0, true},
+		{55, 200, true},
+		{256, 0, false},
+		{56, 200, false},
+		{1, 255, false},
+		{2, 1 << 40, false},
+	}
+	for _, c := range cases {
+		if got := OneWorkerLevel(c.nf, c.mf); got != c.want {
+			t.Errorf("OneWorkerLevel(%d, %d) = %v, want %v", c.nf, c.mf, got, c.want)
+		}
+	}
+}
+
+// TestSmallLevelsRunOnWorkerZero checks the one-worker rule end to end.
+// Every push level of a 64x4 grid holds at most 4 vertices of degree at
+// most 4, far below the grain, so under vertex balance without stealing
+// every claim of the frontier and hybrid runs, word and bitmap, is worker
+// 0's, and the trace replay puts every frontier iteration on worker 0. On
+// a random graph whose levels exceed the grain, other workers still claim.
+func TestSmallLevelsRunOnWorkerZero(t *testing.T) {
+	grid, wide := graph.Grid2D(64, 4), graph.ConnectedRandom(2000, 20000, 1)
+	for _, p := range []int{2, 4} {
+		m := machine.New(p, machine.WithMetrics())
+		t.Cleanup(m.Close)
+		attempts := func(g *graph.Graph, hybrid, bitmap bool) []uint64 {
+			k := NewKernel(m, g)
+			k.SetStealing(false)
+			k.SetBitmap(bitmap)
+			k.Prepare(0)
+			m.Metrics().Reset()
+			var err error
+			if hybrid {
+				err = ValidateBidir(g, 0, k.RunCASLTHybrid())
+			} else {
+				err = Validate(g, 0, k.RunCASLTFrontier(), true)
+			}
+			if err != nil {
+				t.Fatalf("p=%d hybrid=%v bitmap=%v: %v", p, hybrid, bitmap, err)
+			}
+			return m.Snapshot().WorkerAttempts
+		}
+		for _, hybrid := range []bool{false, true} {
+			for _, bitmap := range []bool{false, true} {
+				wa := attempts(grid, hybrid, bitmap)
+				if wa[0] == 0 || slices.ContainsFunc(wa[1:], func(a uint64) bool { return a != 0 }) {
+					t.Errorf("p=%d hybrid=%v bitmap=%v: claims per worker %v on the grid, want all on worker 0",
+						p, hybrid, bitmap, wa)
+				}
+			}
+		}
+		if wa := attempts(wide, false, false); !slices.ContainsFunc(wa[1:], func(a uint64) bool { return a != 0 }) {
+			t.Errorf("p=%d: claims per worker %v on levels above the grain, want some off worker 0", p, wa)
+		}
+
+		k := NewKernel(m, grid)
+		k.SetStealing(false)
+		k.Prepare(0)
+		k.RunCASLTFrontierExec(machine.ExecTrace)
+		if it := k.Trace().Iters; it[0] == 0 || slices.ContainsFunc(it[1:], func(n uint64) bool { return n != 0 }) {
+			t.Errorf("p=%d: traced iterations per worker %v on the grid, want all on worker 0", p, it)
+		}
 	}
 }
 

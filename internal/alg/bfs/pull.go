@@ -66,6 +66,22 @@ func NextDirection(pull bool, mf, mu, nf, n uint64) bool {
 	return nf*HybridBeta >= n
 }
 
+// oneWorkerGrain is the push work, in units of one per frontier vertex
+// plus one per arc, below which a vertex-balanced, non-stealing push level
+// runs on worker 0 alone. It sits at the measured crossover: on a 2-vCPU
+// host at P=2, bfs-frontier on Grid2D(2^16/w, w) ran levels averaging up
+// to 78 units 1.3x to 1.8x faster on one worker than split, 1.21x at 230
+// units and 1.08x at 265, while splitting won from 283 units (by 4%, and
+// by 25% at 419). The crossover at larger P is not measured; splitting
+// gains more there, so it may lie lower.
+const oneWorkerGrain = 256
+
+// OneWorkerLevel reports whether a vertex-balanced, non-stealing push
+// level runs on worker 0 alone: its work, counted as the work models count
+// it (nf + mf), is below oneWorkerGrain. Exported so the bench harness's
+// stealing model replays the push partition with the kernel's own rule.
+func OneWorkerLevel(nf, mf uint64) bool { return nf+mf < oneWorkerGrain }
+
 // pullLevel runs one bottom-up level over worker range [lo, hi): each
 // still-unreached vertex scans its arcs for a neighbor at level L and
 // claims itself for level L+1. level[u] is written only by the worker that

@@ -45,6 +45,26 @@ type EdgeBalanceRow struct {
 	Model   WorkModel
 }
 
+// bfsInput is one BFS sweep's graph, with the name its rows carry and the
+// vertex its traversals start from.
+type bfsInput struct {
+	name   string
+	g      *graph.Graph
+	source uint32
+}
+
+// edgeBalanceInputs builds the edge-balance sweep's workloads. RMAT: BFS
+// from vertex 0, the likeliest hub under the canonical probabilities.
+// Star: BFS from a leaf, so the entire level-1 frontier is the hub — the
+// worst straggler a vertex partition can produce.
+func edgeBalanceInputs(cfg Config) []bfsInput {
+	return []bfsInput{
+		{fmt.Sprintf("rmat%d", cfg.EBScale),
+			graph.RMAT(cfg.EBScale, 8<<cfg.EBScale, 0.57, 0.19, 0.19, cfg.Seed), 0},
+		{fmt.Sprintf("star%d", cfg.EBStar), graph.Star(cfg.EBStar), 1},
+	}
+}
+
 // EdgeBalance runs the sweep: for each workload × balance × kernel ×
 // execution mode, the median wall time over cfg.Reps runs (validated once
 // per cell, outside the timed region, by the registered kernel's own
@@ -56,25 +76,12 @@ func EdgeBalance(cfg Config, execs []machine.Exec) ([]EdgeBalanceGraph, []EdgeBa
 	if len(execs) == 0 {
 		execs = machine.Execs
 	}
-	type workload struct {
-		name   string
-		g      *graph.Graph
-		source uint32
-	}
-	// RMAT: BFS from vertex 0, the likeliest hub under the canonical
-	// probabilities. Star: BFS from a leaf, so the entire level-1 frontier
-	// is the hub — the worst straggler a vertex partition can produce.
-	workloads := []workload{
-		{fmt.Sprintf("rmat%d", cfg.EBScale),
-			graph.RMAT(cfg.EBScale, 8<<cfg.EBScale, 0.57, 0.19, 0.19, cfg.Seed), 0},
-		{fmt.Sprintf("star%d", cfg.EBStar), graph.Star(cfg.EBStar), 1},
-	}
 	run := cfg.newRunner()
 	defer run.Close()
 	m := run.Machine(sweep.MachineKey{Threads: cfg.Threads})
 	var infos []EdgeBalanceGraph
 	var rows []EdgeBalanceRow
-	for _, wl := range workloads {
+	for _, wl := range edgeBalanceInputs(cfg) {
 		infos = append(infos, EdgeBalanceGraph{
 			Name:   wl.name,
 			Source: wl.source,

@@ -57,6 +57,13 @@ type LocalityRow struct {
 	PermHash uint64
 }
 
+// localityInput builds the locality sweep's workload, traversed from
+// vertex 0 before relabeling.
+func localityInput(cfg Config) bfsInput {
+	return bfsInput{fmt.Sprintf("rmat%d", cfg.LocScale),
+		graph.RMAT(cfg.LocScale, 8<<cfg.LocScale, 0.57, 0.19, 0.19, cfg.Seed), 0}
+}
+
 // Locality runs the sweep: for each relabel mode × worker count × kernel ×
 // representation, the median wall time over cfg.Reps runs (validated once
 // per cell) plus, on bitmap cells, the line-touch model pair. The workload
@@ -64,20 +71,19 @@ type LocalityRow struct {
 // relabel axis from cfg.Relabels.
 func Locality(cfg Config, exec machine.Exec) ([]LocalityRow, error) {
 	cfg = cfg.withDefaults()
-	name := fmt.Sprintf("rmat%d", cfg.LocScale)
-	g := graph.RMAT(cfg.LocScale, 8<<cfg.LocScale, 0.57, 0.19, 0.19, cfg.Seed)
+	in := localityInput(cfg)
 	run := cfg.newRunner()
 	defer run.Close()
 	var rows []LocalityRow
 	for _, mode := range cfg.Relabels {
-		rl := graph.Relabel(g, mode)
+		rl := graph.Relabel(in.g, mode)
 		var hash uint64
 		if mode != graph.RelabelNone {
 			hash = graph.PermHash(rl.Perm)
 		}
-		// The traversal is rooted at the image of vertex 0, so every mode
-		// runs the same BFS up to vertex names.
-		src := rl.Perm[0]
+		// The traversal is rooted at the image of the source, so every
+		// mode runs the same BFS up to vertex names.
+		src := rl.Perm[in.source]
 		seq := bfs.Sequential(rl.G, src)
 		w := &kernel.Workload{Graph: rl.G, Source: src}
 		for _, p := range cfg.LocThreads {
@@ -95,10 +101,10 @@ func Locality(cfg Config, exec machine.Exec) ([]LocalityRow, error) {
 					})
 					if err != nil {
 						return nil, fmt.Errorf("locality %s %s %s relabel=%s p=%d: %w",
-							name, kname, repr, mode, p, err)
+							in.name, kname, repr, mode, p, err)
 					}
 					row := LocalityRow{
-						Graph:    name,
+						Graph:    in.name,
 						Kernel:   kname,
 						Repr:     repr,
 						Relabel:  mode,
@@ -114,7 +120,7 @@ func Locality(cfg Config, exec machine.Exec) ([]LocalityRow, error) {
 					}
 					rows = append(rows, row)
 					cfg.logf("locality %s kernel=%s repr=%s relabel=%s p=%d median=%v lines=%d\n",
-						name, kname, repr, mode, p, cell.Median, row.Lines)
+						in.name, kname, repr, mode, p, cell.Median, row.Lines)
 				}
 			}
 		}

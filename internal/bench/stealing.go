@@ -50,6 +50,21 @@ type StealingRow struct {
 	StealFails  uint64
 }
 
+// stealingInputs builds the stealing sweep's workloads, both traversed
+// from vertex 0. RMAT at density 4: hubs of degree in the thousands
+// against a mean of 8 — the chunk a coarse policy strands a hub in
+// dominates its level. The uniform graph of the same size is the negative
+// control: every chunk costs the same, so no policy should beat block
+// there.
+func stealingInputs(cfg Config) []bfsInput {
+	return []bfsInput{
+		{fmt.Sprintf("rmat%d", cfg.StealScale),
+			graph.RMAT(cfg.StealScale, 4<<cfg.StealScale, 0.57, 0.19, 0.19, cfg.Seed), 0},
+		{fmt.Sprintf("uniform%d", cfg.StealScale),
+			graph.ConnectedRandom(1<<cfg.StealScale, 4<<cfg.StealScale, cfg.Seed), 0},
+	}
+}
+
 // Stealing runs the sweep: for each workload × worker count × policy ×
 // kernel, the median wall time over cfg.Reps runs (validated once per
 // cell), the cell's aggregated steal counters, and the scheduling model.
@@ -59,24 +74,10 @@ type StealingRow struct {
 // their degree-skew default — the sweep isolates the policy axis.
 func Stealing(cfg Config, exec machine.Exec) ([]StealingRow, error) {
 	cfg = cfg.withDefaults()
-	type workload struct {
-		name string
-		g    *graph.Graph
-	}
-	// RMAT at density 4: hubs of degree in the thousands against a mean of
-	// 8 — the chunk a coarse policy strands a hub in dominates its level.
-	// The uniform graph of the same size is the negative control: every
-	// chunk costs the same, so no policy should beat block there.
-	workloads := []workload{
-		{fmt.Sprintf("rmat%d", cfg.StealScale),
-			graph.RMAT(cfg.StealScale, 4<<cfg.StealScale, 0.57, 0.19, 0.19, cfg.Seed)},
-		{fmt.Sprintf("uniform%d", cfg.StealScale),
-			graph.ConnectedRandom(1<<cfg.StealScale, 4<<cfg.StealScale, cfg.Seed)},
-	}
 	run := cfg.newRunner()
 	defer run.Close()
 	var rows []StealingRow
-	for _, wl := range workloads {
+	for _, wl := range stealingInputs(cfg) {
 		seq := bfs.Sequential(wl.g, 0)
 		w := &kernel.Workload{Graph: wl.g}
 		for _, p := range cfg.StealThreads {

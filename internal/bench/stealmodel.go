@@ -191,14 +191,30 @@ func (b *bfsModel) costScratch(n int) []uint64 {
 // ForSched replays one kernel's relaxation rounds under one scheduling
 // policy at the model's worker count (vertex balance — the stealing
 // sweep's fixed setting; the -balance axis is the edge-balance sweep's).
-// Kernel names match the sweep: "bfs-frontier" and "bfs-hybrid".
+// Kernel names match the sweep: "bfs-frontier" and "bfs-hybrid". The sweep
+// turns the kernel's stealing on exactly under the stealing policy; under
+// every other policy the kernel runs a push level below its grain on
+// worker 0 alone (bfs.OneWorkerLevel), and so does the model.
 func (b *bfsModel) ForSched(kernel string, pol sched.Policy, chunk int) WorkModel {
 	p := b.p
 	var m WorkModel
+	push := func(L int) {
+		f := b.byLevel[L]
+		costs := b.frontierCosts(f)
+		if pol == sched.Stealing || !bfs.OneWorkerLevel(uint64(len(f)), b.degLevel[L]) {
+			m.addSchedRound(costs, pol, p, chunk)
+			return
+		}
+		clear(b.shard)
+		for _, c := range costs {
+			b.shard[0] += c
+		}
+		m.addRound(b.shard)
+	}
 	switch kernel {
 	case "bfs-frontier":
 		for L := 0; L <= b.depth; L++ {
-			m.addSchedRound(b.frontierCosts(b.byLevel[L]), pol, p, chunk)
+			push(L)
 		}
 	case "bfs-hybrid":
 		mf := uint64(b.g.Degree(b.source))
@@ -210,7 +226,7 @@ func (b *bfsModel) ForSched(kernel string, pol sched.Policy, chunk int) WorkMode
 			if pull {
 				m.addSchedRound(b.pullCosts(uint32(L)), pol, p, chunk)
 			} else {
-				m.addSchedRound(b.frontierCosts(b.byLevel[L]), pol, p, chunk)
+				push(L)
 			}
 			var disc uint64
 			if L+1 <= b.depth {

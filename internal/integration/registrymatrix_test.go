@@ -31,16 +31,17 @@ import (
 
 // The differential tests below split the engine's variants among
 // themselves: the four TestRegistry tests pass AxisVariants between them,
+// TestRegistryDifferentialPolicy also passes Steal,
 // TestExecEventTraceDifferentialMatrix passes EventTrace, and each
 // TestExecMetricsDifferential test passes Metrics over one algorithm
 // package's kernels. Together they pass differentialVariants over the
 // whole registry, which keeps each reference run for the next call.
 
 // differentialVariants are the variants the differential tests pass
-// between them: every axis value, a metrics machine and an event-traced
-// machine.
+// between them: every axis value, the stealing opt-in forced both ways, a
+// metrics machine and an event-traced machine.
 func differentialVariants() []kernel.Variant {
-	return append(kernel.AxisVariants(), kernel.Metrics, kernel.EventTrace)
+	return append(kernel.AxisVariants(), kernel.Steal, kernel.Metrics, kernel.EventTrace)
 }
 
 // Name prefixes of the AxisVariants the first three registry tests pass;
@@ -85,12 +86,13 @@ func TestRegistryDifferentialExec(t *testing.T) {
 }
 
 // TestRegistryDifferentialPolicy byte-compares every registered kernel's
-// team runs under each non-block scheduling policy against the block
-// reference. One worker takes every iteration under every policy, so the
-// worker counts start at two.
+// team runs under each non-block scheduling policy, and every stealable
+// kernel's runs with its stealing opt-in forced on and off, against the
+// block reference. One worker takes every iteration under every policy,
+// so the worker counts start at two.
 func TestRegistryDifferentialPolicy(t *testing.T) {
 	vs, _ := axisVariants(policyAxes...)
-	differential(t, []int{2, 4}, vs...)
+	differential(t, []int{2, 4}, append(vs, kernel.Steal)...)
 }
 
 // TestRegistryDifferentialRelabel checks that every relabelable kernel's
@@ -304,12 +306,13 @@ func TestRegistryToyExtension(t *testing.T) {
 }
 
 // divergentInstance is a toy graph kernel whose result, each vertex's
-// degree, no backend, policy, representation, balance, relabeling or
-// observer may change. It computes the vector in a region, so an observed
-// machine records busy time and a timeline. faulty names the one variant
-// under which it goes wrong: it then corrupts an entry in every run that
-// variantOf attributes to that variant, or, for the relabel variant,
-// returns each vertex's id, which a relabeling changes.
+// degree, no backend, policy, representation, balance, relabeling,
+// stealing opt-in or observer may change. It computes the vector in a
+// region, so an observed machine records busy time and a timeline. faulty
+// names the one variant under which it goes wrong: it then corrupts an
+// entry in every run that variantOf attributes to that variant, or, for
+// the relabel variant, returns each vertex's id, which a relabeling
+// changes.
 type divergentInstance struct {
 	m      *machine.Machine
 	g      *graph.Graph
@@ -345,6 +348,8 @@ func (in *divergentInstance) Trace() *exec.TraceStats { return nil }
 // told from a plain one.
 func variantOf(m *machine.Machine, s kernel.Settings) string {
 	switch {
+	case s.Steal != kernel.StealDefault:
+		return "steal"
 	case m.Chaos() != nil:
 		return "chaos policy=" + m.Policy().String()
 	case m.Events() != nil:
@@ -377,6 +382,7 @@ func TestRegistryDifferentialCatchesDivergence(t *testing.T) {
 			Summary:     "vertex degrees, wrong under one variant when faulty",
 			Bitmap:      true,
 			Balanced:    true,
+			Stealable:   true,
 			Relabelable: true,
 			Input:       kernel.InputGraph,
 			New: func(m *machine.Machine, w kernel.Workload) kernel.Instance {

@@ -42,6 +42,12 @@ func (r Run) String() string {
 	if r.Relabel != graph.RelabelNone {
 		s += " relabel=" + r.Relabel.String()
 	}
+	switch r.Steal {
+	case StealOn:
+		s += " steal=on"
+	case StealOff:
+		s += " steal=off"
+	}
 	if r.Sticky {
 		s += " sticky-resolver"
 	}
@@ -456,10 +462,30 @@ var Metrics = Variant{
 	Runs:    teamRuns,
 }
 
+// Steal runs every method of every Stealable kernel under team with the
+// kernel-level stealing opt-in forced on and forced off, on more than one
+// worker: which worker runs an index of an irregular loop must never
+// change a result.
+var Steal = Variant{
+	Name: "steal",
+	Runs: func(d *Descriptor, p int, method cw.Method) []Run {
+		if !d.Stealable || p == 1 {
+			return nil
+		}
+		var runs []Run
+		for _, mode := range []StealMode{StealOn, StealOff} {
+			runs = append(runs, Run{Settings: Settings{Exec: machine.ExecTeam, Method: method, Steal: mode}})
+		}
+		return runs
+	},
+}
+
 // evtraceCap is the per-worker ring capacity of the EventTrace variant:
-// small enough that the deep-path inputs wrap the rings, so the flight
-// recorder's overwrite runs under load too.
-const evtraceCap = 512
+// small enough that the deep grid input's ≈500 levels wrap every worker's
+// ring in every run of the four BFS kernels at every P (each emits at
+// least 504 events per worker there), so the flight recorder's overwrite
+// runs under load too.
+const evtraceCap = 256
 
 // EventTrace runs every method under team on a machine carrying an
 // event-trace flight recorder (which implies metrics): tracing observes

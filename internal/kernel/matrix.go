@@ -19,11 +19,13 @@ type NamedWorkload struct {
 const matrixSeed = 7
 
 // MatrixWorkloads builds the fixed differential workloads for a
-// descriptor's input kind. Graph kernels get a deep path (many rounds, tiny
-// frontiers), a skewed RMAT graph, and a disconnected graph; list kernels a
-// 300-element list with a late maximum and duplicates; chain kernels lists
-// covering the n=1 / n=2 edge cases plus a pointer-jumping-boundary 257 and
-// a bulk 2000.
+// descriptor's input kind. Graph kernels get a deep narrow grid (many
+// rounds, tiny frontiers: about 500 BFS levels of 1–4 vertices, so the
+// frontier kernels' push levels run on one worker), a skewed RMAT graph,
+// and a disconnected graph; list kernels a 300-element list with a late
+// maximum and duplicates; chain kernels lists covering the n=1 / n=2 edge
+// cases plus a pointer-jumping-boundary 257 and a bulk 2000. The grid
+// stays first: chaosInput picks the RMAT graph by index.
 func MatrixWorkloads(d *Descriptor) []NamedWorkload {
 	switch d.Input {
 	case InputList:
@@ -43,7 +45,7 @@ func MatrixWorkloads(d *Descriptor) []NamedWorkload {
 		return out
 	default:
 		return []NamedWorkload{
-			{"path2000", Workload{Graph: graph.Path(2000), Seed: matrixSeed}},
+			{"grid500x4", Workload{Graph: graph.Grid2D(500, 4), Seed: matrixSeed}},
 			{"rmat", Workload{Graph: graph.RMAT(7, 600, 0.57, 0.19, 0.19, 9), Seed: matrixSeed}},
 			{"disjoint", Workload{Graph: graph.Disjoint(graph.ConnectedRandom(60, 220, 5), 3), Seed: matrixSeed}},
 		}
