@@ -30,6 +30,7 @@ func main() {
 	defer m.Close()
 
 	cells := pram.NewCellArray(n, pram.Packed)
+	m.Stamp(cells) // claimed with m's round ids: reset if the ids ever rewind
 	data := make([]int, n)
 
 	// Round 1: every target is written by `writers` virtual processors,

@@ -11,8 +11,9 @@
 // paper's Section 4 warns about and the reason the naive variant's parent
 // tree is only weakly consistent. The selection variants guard the tuple:
 //
-//   - CASLT:      cells.TryClaim(u, L+1); the round id is the level counter,
-//     which the paper notes comes "for free" — no per-level reinitialization.
+//   - CASLT:      cells.TryClaim(u, round), with one round id per level
+//     from the machine's counter, which the paper notes comes "for free" —
+//     no per-level reinitialization.
 //   - Gatekeeper: gates.TryEnter(u) plus the paper's Figure 3(b) full
 //     re-initialization pass over all N gates after every level, inside the
 //     timed region, exactly as in the listing.
@@ -71,7 +72,6 @@ type Kernel struct {
 	mtx   *cw.MutexArray
 
 	source uint32
-	base   uint32           // CAS-LT round offset carried across runs
 	trace  *exec.TraceStats // structural record of the last trace-backend run
 
 	// balance selects vertex- or edge-balanced loop partitioning;
@@ -113,7 +113,7 @@ type Kernel struct {
 // graph are borrowed, not owned.
 func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 	n := g.NumVertices()
-	return &Kernel{
+	k := &Kernel{
 		m:       m,
 		g:       g,
 		n:       n,
@@ -126,6 +126,8 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 		mtx:     cw.NewMutexArray(n),
 		steal:   graph.DegreeSkewed(g),
 	}
+	m.Stamp(k.cells)
+	return k
 }
 
 // SetBalance selects how the kernel's vertex loops are partitioned:
@@ -206,18 +208,13 @@ func (k *Kernel) ctxSweep(ctx exec.Ctx, body func(lo, hi, w int)) {
 
 // Prepare resets the traversal arrays for a run from the given source.
 // Prepare is the untimed initialization phase. The CAS-LT cells are not
-// reset: runs after the first reuse them by advancing the round offset,
+// reset: every run claims them with fresh round ids from the machine,
 // which is the method's point.
 func (k *Kernel) Prepare(source uint32) {
 	if int(source) >= k.n {
 		panic(fmt.Sprintf("bfs: source %d out of range for %d vertices", source, k.n))
 	}
 	k.source = source
-	// Guard the (astronomically distant) uint32 round wrap: recycle cells.
-	if k.base > math.MaxUint32/2 {
-		k.m.ParallelRange(k.n, func(lo, hi, _ int) { k.cells.ResetRange(lo, hi) })
-		k.base = 0
-	}
 	if k.bitmap {
 		k.ensureBits()
 	}
@@ -285,12 +282,13 @@ func (k *Kernel) Trace() *exec.TraceStats { return k.trace }
 
 // runLevels drives the level loop through the execution layer. sweep
 // executes one worker's share [lo, hi) of level L's vertex sweep (under
-// the kernel's balance policy) and reports whether it discovered anything;
-// gateReset adds the gatekeeper's O(N) re-initialization pass between
-// levels, inside the timed region as in Figure 3(b). Returns the depth
-// (max finite level). The per-level convergence word is the region's
-// rotating Flag; each level is one round, closed by the sense barrier
-// (counted under trace).
+// the kernel's balance policy), whose claims carry the level's round id,
+// and reports whether it discovered anything; gateReset adds the
+// gatekeeper's O(N) re-initialization pass between levels, inside the
+// timed region as in Figure 3(b). Returns the depth (max finite level).
+// The per-level convergence word is the region's rotating Flag; each level
+// is one round, with one id from ctx.NextRound, closed by the sense
+// barrier (counted under trace).
 func (k *Kernel) runLevels(e machine.Exec, sweep func(lo, hi, w int, L, round uint32, sh *metrics.Shard) bool, gateReset bool) uint32 {
 	if k.balance == graph.BalanceEdge {
 		k.ensureArcBounds() // allocate outside the region
@@ -302,12 +300,7 @@ func (k *Kernel) runLevels(e machine.Exec, sweep func(lo, hi, w int, L, round ui
 		L := uint32(0)
 		for {
 			progress.Set(L+1, 0) // prime next level's flag (common CW)
-			round := k.base + L + 1
-			if ctx.Worker() == 0 {
-				// The level counter doubles as the round id (no NextRound
-				// call to count), so credit the consumed round here.
-				rec.AddRounds(1)
-			}
+			round := ctx.NextRound()
 			k.ctxSweep(ctx, func(lo, hi, w int) {
 				if sweep(lo, hi, w, L, round, rec.Shard(w)) {
 					progress.Set(L, 1)
@@ -355,7 +348,6 @@ func (k *Kernel) runCASLT(e machine.Exec) Result {
 		}
 		return progress
 	}, false)
-	k.base += depth + 1
 	return k.result(int(depth))
 }
 

@@ -55,7 +55,7 @@ func TestBitmapVariantsMatchWord(t *testing.T) {
 // TestBitmapToggleInterleaved toggles the representation between runs on
 // one kernel (Prepare between each, as documented): word and bitmap runs
 // must not perturb each other through the shared level/parent arrays or
-// the CAS-LT round offset.
+// the CAS-LT round ids.
 func TestBitmapToggleInterleaved(t *testing.T) {
 	m := testMachine(t, 4)
 	g := graph.ConnectedRandom(150, 600, 17)

@@ -16,7 +16,7 @@ import (
 // tiny frontiers), the kernel carries the frontier explicitly. Winners
 // append their discoveries to per-worker buffers, and the next level reads
 // those buffers in place. The concurrent-write handling is unchanged
-// (CAS-LT with the level as the round id), so the variant isolates the
+// (CAS-LT with one round id per level), so the variant isolates the
 // algorithmic sweep cost from the CW method cost; the ablation benchmark
 // compares the two formulations.
 //
@@ -256,12 +256,12 @@ func (k *Kernel) newLevelLoop(ctx exec.Ctx) *levelLoop {
 
 // load makes level L current and returns its frontier size. Call it after
 // level L-1's closing barrier. A non-empty level is one CW round, whose
-// claims carry the level's round id; worker 0 credits it to the recorder.
+// claims carry the round id it draws here.
 func (l *levelLoop) load(L uint32) int {
-	l.L, l.round = L, l.k.base+L+1
+	l.L = L
 	nf := l.f.load(l.k.disc[L&1], L)
-	if nf > 0 && l.ctx.Worker() == 0 {
-		l.rec.AddRounds(1)
+	if nf > 0 {
+		l.round = l.ctx.NextRound()
 	}
 	return nf
 }
@@ -388,7 +388,6 @@ func (k *Kernel) RunCASLTFrontierExec(e machine.Exec) Result {
 			depth = L - 1 // the last non-empty level
 		}
 	})
-	k.base += depth + 1
 	return k.result(int(depth))
 }
 

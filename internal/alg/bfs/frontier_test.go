@@ -58,7 +58,7 @@ func TestFrontierRepeatedRunsAndSources(t *testing.T) {
 
 func TestFrontierInterleavedWithOtherVariants(t *testing.T) {
 	// The frontier variant shares the CAS-LT cells with the sweep variant;
-	// interleaving them must keep the round offset discipline intact.
+	// interleaving them must keep the round-id discipline intact.
 	m := testMachine(t, 4)
 	g := graph.ConnectedRandom(150, 500, 23)
 	k := NewKernel(m, g)

@@ -162,8 +162,8 @@ func (k *Kernel) requireSymmetric() {
 // execution backend. Prepare must have been called first. Every level
 // sweeps all unreached vertices (under the kernel's balance policy), so
 // this is the ablation endpoint, not the practical kernel — use
-// RunCASLTHybrid for that. No CAS-LT rounds are consumed: all writes are
-// exclusive.
+// RunCASLTHybrid for that. No claim is made: all writes are exclusive,
+// though each level draws its round id like every BFS level.
 func (k *Kernel) RunCASLTPull() Result { return k.RunCASLTPullExec(k.m.Exec()) }
 
 // RunCASLTPullExec is RunCASLTPull under an explicit execution backend.
@@ -193,14 +193,11 @@ func (k *Kernel) runPullBitmap(e machine.Exec) Result {
 	k.curBits.Set(int(k.source))
 	var depth uint32
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
-		rec := ctx.Metrics()
 		progress := ctx.Flag()
 		L := uint32(0)
 		for {
 			progress.Set(L+1, 0) // prime next level's flag (common CW)
-			if ctx.Worker() == 0 {
-				rec.AddRounds(1)
-			}
+			ctx.NextRound()      // a level is one round, as in runLevels
 			k.ctxSweep(ctx, func(lo, hi, w int) {
 				if k.pullLevelBits(lo, hi, L, nil) {
 					progress.Set(L, 1)
@@ -265,6 +262,5 @@ func (k *Kernel) RunCASLTHybridExec(e machine.Exec) Result {
 			depth = L - 1 // the last non-empty level
 		}
 	})
-	k.base += depth + 1
 	return k.result(int(depth))
 }

@@ -106,7 +106,7 @@ func TestPullHybridNonZeroSource(t *testing.T) {
 // TestEdgeBalancedPushMatchesVertex checks that every push variant yields a
 // valid strict result under edge balance, and that repeated mixed runs on
 // one kernel (push, frontier, hybrid interleaved — all sharing the CAS-LT
-// cells via the round offset) stay correct with no cell reset.
+// cells via the machine's round ids) stay correct with no cell reset.
 func TestEdgeBalancedPushMatchesVertex(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		m := testMachine(t, p)

@@ -16,15 +16,15 @@ import (
 // matrix's sticky-loser resolver, which re-drives lost claims.
 //
 // The resolver must be fresh (or ResetRange over all targets must have
-// been applied) and must span the graph's vertices. Prepare must have been
-// called first.
+// been applied) and must span the graph's vertices: its cells are not
+// declared to the machine (Machine.Stamp), so a rewind of the round ids
+// between two calls would leave a reused CAS-LT resolver's stamps
+// outranking the new ids. Prepare must have been called first.
 func (k *Kernel) RunResolver(r cw.Resolver) Result {
 	return k.RunResolverExec(k.m.Exec(), r)
 }
 
 // RunResolverExec is RunResolver under an explicit execution backend.
-// Round ids passed to the resolver restart at 1 for every call, so a
-// CAS-LT-backed resolver must not be reused across calls.
 func (k *Kernel) RunResolverExec(e machine.Exec, r cw.Resolver) Result {
 	if r.Len() < k.n {
 		panic("bfs: resolver smaller than the vertex set")
@@ -38,12 +38,7 @@ func (k *Kernel) RunResolverExec(e machine.Exec, r cw.Resolver) Result {
 		L := uint32(0)
 		for {
 			progress.Set(L+1, 0) // prime next level's flag (common CW)
-			round := L + 1
-			if ctx.Worker() == 0 {
-				// The level counter is the round id, as in runLevels, so
-				// credit the consumed round here.
-				rec.AddRounds(1)
-			}
+			round := ctx.NextRound()
 			ctx.Range(k.n, func(lo, hi, w int) {
 				sh := rec.Shard(w)
 				prog := false

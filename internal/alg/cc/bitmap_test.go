@@ -54,7 +54,7 @@ func TestRandMateBitmapDeterministicWordParity(t *testing.T) {
 
 // TestRandMateBitmapToggleInterleaved alternates representations on one
 // kernel across runs: the per-iteration bit clear must leave no state
-// behind, and the word cells' round offset must stay monotone.
+// behind, and the word cells' round ids must stay monotone.
 func TestRandMateBitmapToggleInterleaved(t *testing.T) {
 	m := testMachine(t, 4)
 	g := graph.Disjoint(graph.ConnectedRandom(60, 150, 5), 3)

@@ -85,7 +85,6 @@ type Kernel struct {
 	gates *cw.GateArray
 	mtx   *cw.MutexArray
 
-	base  uint32           // CAS-LT round offset carried across runs
 	trace *exec.TraceStats // structural record of the last trace-backend run
 
 	// steal routes random mate's hooking loop through the work-stealing
@@ -123,6 +122,7 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 		gates:    cw.NewGateArray(n, cw.Packed),
 		mtx:      cw.NewMutexArray(n),
 	}
+	m.Stamp(k.cells)
 	// The hooking rounds find each arc share's first source vertex from the
 	// CSR offsets (see hookPhase), so the kernel keeps no per-arc state.
 	return k
@@ -157,13 +157,9 @@ func (k *Kernel) SetBitmap(on bool) { k.bitmap = on }
 func (k *Kernel) Bitmap() bool { return k.bitmap }
 
 // Prepare resets the forest to singletons and the hook records. Prepare is
-// the untimed initialization phase; CAS-LT cells are reused across runs via
-// the round offset.
+// the untimed initialization phase; CAS-LT cells are reused across runs,
+// which claim them with fresh round ids from the machine.
 func (k *Kernel) Prepare() {
-	if k.base > math.MaxUint32/2 {
-		k.m.ParallelRange(k.n, func(lo, hi, _ int) { k.cells.ResetRange(lo, hi) })
-		k.base = 0
-	}
 	k.m.ParallelRange(k.n, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			k.d[i] = uint32(i)
@@ -177,7 +173,7 @@ func (k *Kernel) Prepare() {
 // default execution backend and returns a Result view over the kernel's
 // arrays (valid until the next Prepare/Run). Prepare must have been called
 // first. cw.CASLT claims the hooked root's cell with a round id from the
-// region round counter, so no state is re-initialized; cw.Gatekeeper
+// machine's round counter, so no state is re-initialized; cw.Gatekeeper
 // fetch-and-adds the root's gate and re-zeroes every gate after each
 // hooking phase, inside the timed region; cw.GatekeeperChecked adds the
 // load pre-check; cw.Mutex hooks under the root's lock. Run panics for
@@ -379,26 +375,21 @@ func (k *Kernel) hook(sh *metrics.Shard, method cw.Method, res cw.Resolver, roun
 // runExec drives the iteration structure shared by all methods under
 // backend e, as one SPMD body around the whole convergence loop; the
 // hooking writes go through method's guard or, when res is set, the
-// caller's resolver. Each hooking phase takes a round id from the region
-// round counter, offset by the kernel's base for the kernel's own CAS-LT
-// cells so that they are never re-initialized. The per-iteration "did
-// anything change?" word is the region's rotating Flag, so no round is
-// spent resetting it.
+// caller's resolver. Each hooking phase claims with its own round id from
+// ctx.NextRound, so the CAS-LT cells are never re-initialized; an
+// iteration draws both ids before either phase runs. The per-iteration
+// "did anything change?" word is the region's rotating Flag, so no round
+// is spent resetting it.
 func (k *Kernel) runExec(e machine.Exec, method cw.Method, res cw.Resolver) Result {
 	maxIter := k.maxIterations()
-	useBase := method == cw.CASLT && res == nil
-	off := uint32(0)
-	if useBase {
-		off = k.base
-	}
 	var iters int
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
 		changed := ctx.Flag()
 		it := uint32(0)
 		for {
 			changed.Set(it+1, 0) // prime next iteration's flag (common CW)
-			r1 := off + ctx.NextRound()
-			r2 := off + ctx.NextRound()
+			r1 := ctx.NextRound()
+			r2 := ctx.NextRound()
 
 			k.starCheck(ctx)
 			k.hookPhase(ctx, true, method, res, r1, changed, it)
@@ -420,9 +411,6 @@ func (k *Kernel) runExec(e machine.Exec, method cw.Method, res cw.Resolver) Resu
 			}
 		}
 	})
-	if useBase {
-		k.base += uint32(2 * iters)
-	}
 	return Result{Labels: k.d, HookEdge: k.hookEdge, Iterations: iters}
 }
 

@@ -67,7 +67,7 @@ func (k *Kernel) RunRandMateExec(e machine.Exec, seed uint64) Result {
 		for {
 			changed.Set(it+1, 0) // prime next iteration's flags (common CW)
 			live.Set(it+1, 0)
-			round := k.base + ctx.NextRound()
+			round := ctx.NextRound()
 
 			// Snapshot the forest: hooks read phase-start roots only. In
 			// bitmap mode the same round clears the hook bits — the
@@ -158,6 +158,5 @@ func (k *Kernel) RunRandMateExec(e machine.Exec, seed uint64) Result {
 			}
 		}
 	})
-	k.base += iters
 	return Result{Labels: k.d, HookEdge: k.hookEdge, Iterations: int(iters)}
 }

@@ -9,10 +9,9 @@ import (
 // an arbitrary cw.Resolver — the generic entry point the chaos matrix's
 // sticky-loser leg drives — under the machine's default execution backend.
 // Prepare must have been called first; the resolver must be fresh and span
-// the vertex set.
-//
-// Round ids passed to the resolver restart at 1 for every RunResolver
-// call, so a CAS-LT-backed resolver must not be reused across calls.
+// the vertex set: its cells are not declared to the machine
+// (Machine.Stamp), so a rewind of the round ids between two calls would
+// leave a reused CAS-LT resolver's stamps outranking the new ids.
 func (k *Kernel) RunResolver(r cw.Resolver) Result {
 	return k.RunResolverExec(k.m.Exec(), r)
 }

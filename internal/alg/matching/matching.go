@@ -73,7 +73,6 @@ type Kernel struct {
 	propCells   *cw.Array // level-1 guard: one per tail
 	acceptCells *cw.Array // level-2 guard: one per head
 
-	base  uint32
 	trace *exec.TraceStats // structural record of the last trace-backend run
 
 	// steal routes the propose loop (arc-parallel, CSR-contiguous hub arcs)
@@ -110,6 +109,8 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 		propCells:   cw.NewArray(n, cw.Packed),
 		acceptCells: cw.NewArray(n, cw.Packed),
 	}
+	m.Stamp(k.propCells)
+	m.Stamp(k.acceptCells)
 	return k
 }
 
@@ -139,16 +140,9 @@ func (k *Kernel) SetBitmap(on bool) { k.bitmap = on }
 // Bitmap returns whether the boolean matching state is bit-packed.
 func (k *Kernel) Bitmap() bool { return k.bitmap }
 
-// Prepare resets the matching state. Untimed; CAS-LT cells carry over via
-// the round offset.
+// Prepare resets the matching state. Untimed; CAS-LT cells carry over, as
+// every run claims them with fresh round ids from the machine.
 func (k *Kernel) Prepare() {
-	if k.base > math.MaxUint32/2 {
-		k.m.ParallelRange(k.n, func(lo, hi, _ int) {
-			k.propCells.ResetRange(lo, hi)
-			k.acceptCells.ResetRange(lo, hi)
-		})
-		k.base = 0
-	}
 	if k.bitmap && k.propBits == nil {
 		k.propBits = cw.NewBitArray(k.n)
 		k.deadBits = cw.NewBitArray(k.n)
@@ -200,7 +194,7 @@ func (k *Kernel) RunExec(e machine.Exec, seed uint64) Result {
 		it := uint32(0)
 		for {
 			live.Set(it+1, 0) // prime next iteration's flag (common CW)
-			round := k.base + ctx.NextRound()
+			round := ctx.NextRound()
 
 			if k.bitmap {
 				// The bit claims carry no round id: clear last iteration's
@@ -305,7 +299,6 @@ func (k *Kernel) RunExec(e machine.Exec, seed uint64) Result {
 			}
 		}
 	})
-	k.base += rounds
 	return Result{Mate: k.mate, MateEdge: k.mateEdge, Iterations: int(rounds)}
 }
 

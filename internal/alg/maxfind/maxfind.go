@@ -40,15 +40,13 @@ type Kernel struct {
 	gates *cw.GateArray
 	mtx   *cw.MutexArray
 
-	round uint32 // CAS-LT round id, advanced once per Run
-
 	trace *exec.TraceStats // structural record of the last trace-backend run
 }
 
 // NewKernel returns a kernel for lists of n elements executed on m.
 // The machine is borrowed, not owned: Close it yourself.
 func NewKernel(m *machine.Machine, n int) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		m:     m,
 		n:     n,
 		isMax: make([]uint32, n),
@@ -56,6 +54,8 @@ func NewKernel(m *machine.Machine, n int) *Kernel {
 		gates: cw.NewGateArray(n, cw.Packed),
 		mtx:   cw.NewMutexArray(n),
 	}
+	m.Stamp(k.cells)
+	return k
 }
 
 // N returns the kernel's list size.
@@ -64,7 +64,8 @@ func (k *Kernel) N() int { return k.n }
 // Prepare installs the input list and re-initializes the candidate flags
 // and (for the gatekeeper methods) the gatekeeper array. Prepare is the
 // untimed initialization phase; note that the CAS-LT cells need *no*
-// preparation between runs — the kernel just advances its round id.
+// preparation between runs — each run just claims them with a fresh round
+// id from the machine.
 func (k *Kernel) Prepare(list []uint32) {
 	if len(list) != k.n {
 		panic(fmt.Sprintf("maxfind: list length %d != kernel size %d", len(list), k.n))
@@ -87,7 +88,8 @@ func (k *Kernel) Prepare(list []uint32) {
 // blames for it losing to naive here; cw.GatekeeperChecked adds the load
 // pre-check. With cw.CASLT the first attempt on each loser cell wins and
 // every later one fails the load pre-check. cw.Mutex takes the loser's
-// lock.
+// lock. Every method draws the run's one round id from ctx.NextRound;
+// only CAS-LT claims with it.
 func (k *Kernel) Run(method cw.Method) int {
 	return k.RunExec(k.m.Exec(), method)
 }
@@ -99,19 +101,11 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method) int {
 	default:
 		panic("maxfind: unknown method " + method.String())
 	}
-	// The CAS-LT round id is chosen driver-side: nextRound mutates kernel
-	// state, which SPMD bodies must not do.
-	var round uint32
-	if method == cw.CASLT {
-		round = k.nextRound()
-	}
 	n := k.n
 	max := -1
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
 		rec := ctx.Metrics()
-		if ctx.Worker() == 0 {
-			rec.AddRounds(1) // constant-round kernel: one CW round per run
-		}
+		round := ctx.NextRound() // constant-round kernel: one CW round per run
 		// The paper's collapse(2) pair loop as one round: the loser of each
 		// comparison takes a common concurrent write.
 		ctx.Range(n*n, func(lo, hi, w int) {
@@ -229,17 +223,6 @@ func (k *Kernel) scan() int {
 		}
 	}
 	return max
-}
-
-// nextRound advances the CAS-LT round, resetting the cells on the rare
-// uint32 wrap so stale claims can never alias.
-func (k *Kernel) nextRound() uint32 {
-	k.round++
-	if k.round == 0 {
-		k.m.ParallelRange(k.n, func(lo, hi, _ int) { k.cells.ResetRange(lo, hi) })
-		k.round = 1
-	}
-	return k.round
 }
 
 // Sequential returns the index of the maximum by a left-to-right scan with

@@ -50,7 +50,6 @@ type Kernel struct {
 	gates *cw.GateArray
 	mtx   *cw.MutexArray
 
-	base  uint32
 	trace *exec.TraceStats // structural record of the last trace-backend run
 }
 
@@ -77,16 +76,13 @@ func NewKernel(m *machine.Machine, g *graph.Graph) *Kernel {
 	// sharded by arcs (graph.ArcBounds), not vertices; the shards are static
 	// for the kernel's lifetime and shared by every backend.
 	k.arcBounds = graph.ArcBounds(g, m.P())
+	m.Stamp(k.cells)
 	return k
 }
 
-// Prepare resets the kernel state. Untimed; CAS-LT cells carry over via
-// the round offset.
+// Prepare resets the kernel state. Untimed; CAS-LT cells carry over, as
+// every run claims them with fresh round ids from the machine.
 func (k *Kernel) Prepare() {
-	if k.base > 1<<31 {
-		k.m.ParallelRange(k.n, func(lo, hi, _ int) { k.cells.ResetRange(lo, hi) })
-		k.base = 0
-	}
 	k.m.ParallelRange(k.n, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			k.live[i] = 1
@@ -120,23 +116,20 @@ func (k *Kernel) Run(method cw.Method, seed uint64) []uint32 {
 }
 
 // RunExec is Run under an explicit execution backend. The round loop is one
-// SPMD body: the liveness word is the region's rotating Flag, round ids
-// come from the worker-local NextRound counter (offset by the kernel's
-// base), and the consumed-round count is captured by worker 0 for the
-// caller-side base advance.
+// SPMD body: the liveness word is the region's rotating Flag, and each
+// round's id comes from ctx.NextRound.
 func (k *Kernel) RunExec(e machine.Exec, method cw.Method, seed uint64) []uint32 {
 	kill := k.killFunc(method)
 	needsReset := method.NeedsReset()
 	offsets, targets := k.g.Offsets(), k.g.Targets()
 	maxIter := 8*bits.Len(uint(k.n)) + 64
-	var rounds uint32
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
 		rec := ctx.Metrics()
 		anyLive := ctx.Flag()
 		it := uint32(0)
 		for {
 			anyLive.Set(it+1, 0) // prime next round's flag (common CW)
-			round := k.base + ctx.NextRound()
+			round := ctx.NextRound()
 
 			// Select: a live vertex joins iff its priority beats every live
 			// neighbour's. Reads only; live is stable within the phase. The
@@ -167,9 +160,6 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method, seed uint64) []uint32
 				}
 			})
 			if anyLive.Get(it) == 0 {
-				if ctx.Worker() == 0 {
-					rounds = it + 1 // one select phase per consumed round id
-				}
 				break
 			}
 
@@ -214,7 +204,6 @@ func (k *Kernel) RunExec(e machine.Exec, method cw.Method, seed uint64) []uint32
 			}
 		}
 	})
-	k.base += rounds
 	return k.inSet
 }
 

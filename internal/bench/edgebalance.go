@@ -68,7 +68,9 @@ func edgeBalanceInputs(cfg Config) []bfsInput {
 // EdgeBalance runs the sweep: for each workload × balance × kernel ×
 // execution mode, the median wall time over cfg.Reps runs (validated once
 // per cell, outside the timed region, by the registered kernel's own
-// oracle) plus the replayed work model. The workload sizes come from
+// oracle) plus the replayed work model. The kernels' stealing is off, so
+// the timed push levels run the static partitions the model replays; the
+// skewed inputs would otherwise steal them. The workload sizes come from
 // cfg.EBScale / cfg.EBStar; the worker count is cfg.Threads. Dispatch goes
 // through the kernel registry: ebKernels is pure configuration.
 func EdgeBalance(cfg Config, execs []machine.Exec) ([]EdgeBalanceGraph, []EdgeBalanceRow, error) {
@@ -103,7 +105,7 @@ func EdgeBalance(cfg Config, execs []machine.Exec) ([]EdgeBalanceGraph, []EdgeBa
 					}
 					inst := run.Instance(d, m, w)
 					cell, err := run.Timed(inst, kernel.Settings{
-						Exec: e, Method: cw.CASLT, Balance: bal,
+						Exec: e, Method: cw.CASLT, Balance: bal, Steal: kernel.StealOff,
 					})
 					if err != nil {
 						return nil, nil, fmt.Errorf("edgebalance %s %s %s %s: %w",

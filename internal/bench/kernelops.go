@@ -39,7 +39,7 @@ type KernelTraceRow struct {
 	Steps     uint64
 	Barriers  uint64
 	Singles   uint64
-	Rounds    uint32 // region-local CAS-LT round ids consumed
+	Rounds    uint32 // CAS-LT round ids drawn with NextRound
 	IterMax   uint64 // busiest logical worker (unit-cost critical path)
 	IterTotal uint64 // summed iterations over all logical workers
 }
@@ -220,6 +220,9 @@ func FormatKernelTraces(w io.Writer, vertices, edges int, rows []KernelTraceRow)
 	writeAligned(&b, out)
 	b.WriteString("\nsteps are work-shared loops; barriers are the synchronizations a timed\n" +
 		"backend would execute (team: one sense barrier each).\n" +
+		"cw rounds are the round ids a run draws from the machine's counter\n" +
+		"(NextRound): one per BFS level, hook phase or iteration; listrank's\n" +
+		"EREW jumps draw none.\n" +
 		"iter max / p vs iter total / p² is the unit-cost load imbalance.\n")
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -66,9 +66,10 @@ func localityInput(cfg Config) bfsInput {
 
 // Locality runs the sweep: for each relabel mode × worker count × kernel ×
 // representation, the median wall time over cfg.Reps runs (validated once
-// per cell) plus, on bitmap cells, the line-touch model pair. The workload
-// size comes from cfg.LocScale, the worker counts from cfg.LocThreads, the
-// relabel axis from cfg.Relabels.
+// per cell) plus, on bitmap cells, the line-touch model pair. The kernels'
+// stealing is off, so the hybrid's timed push levels run the block split
+// the model replays. The workload size comes from cfg.LocScale, the worker
+// counts from cfg.LocThreads, the relabel axis from cfg.Relabels.
 func Locality(cfg Config, exec machine.Exec) ([]LocalityRow, error) {
 	cfg = cfg.withDefaults()
 	in := localityInput(cfg)
@@ -97,7 +98,7 @@ func Locality(cfg Config, exec machine.Exec) ([]LocalityRow, error) {
 				inst := run.Instance(d, m, w)
 				for _, repr := range locReprs {
 					cell, err := run.Timed(inst, kernel.Settings{
-						Exec: exec, Method: cw.CASLT, Bitmap: repr == "bitmap",
+						Exec: exec, Method: cw.CASLT, Bitmap: repr == "bitmap", Steal: kernel.StealOff,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("locality %s %s %s relabel=%s p=%d: %w",

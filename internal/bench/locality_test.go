@@ -51,6 +51,33 @@ func TestLocalityModelDeterministic(t *testing.T) {
 	}
 }
 
+// TestLocalityPushRoundOneWorker pins the line model's replay of the
+// kernel's one-worker push level: on a narrow grid every level is below
+// bfs.OneWorkerLevel's grain, so at P = 2 and 4 the kernel, its stealing
+// off as the locality sweep runs it, relaxes each level on worker 0 alone,
+// and each modelled push round must touch exactly the lines it touches on
+// one worker. Split across the workers, the levels' neighboring vertices
+// would share lines and count them once per worker.
+func TestLocalityPushRoundOneWorker(t *testing.T) {
+	g := graph.Grid2D(64, 4)
+	seq := bfs.Sequential(g, 0)
+	one := newLineModel(newBFSModel(g, 0, 1, seq))
+	for _, p := range []int{2, 4} {
+		lm := newLineModel(newBFSModel(g, 0, p, seq))
+		for L := 0; L <= seq.Depth; L++ {
+			for _, bitmap := range []bool{false, true} {
+				one.lines, lm.lines = 0, 0
+				one.pushRound(uint32(L), bitmap)
+				lm.pushRound(uint32(L), bitmap)
+				if lm.lines != one.lines {
+					t.Fatalf("p=%d level %d bitmap=%v: push round touches %d lines, %d on one worker",
+						p, L, bitmap, lm.lines, one.lines)
+				}
+			}
+		}
+	}
+}
+
 // TestLocalitySweep runs the tiny sweep end to end and checks the row
 // grid, the JSON conversion and the validator round trip.
 func TestLocalitySweep(t *testing.T) {

@@ -145,15 +145,26 @@ func (lm *lineModel) pullRound(L uint32, bitmap bool) {
 // pushRound replays one frontier relaxation at level L: per examined arc
 // the membership filter of its target, plus the winner's stores on the
 // first arc of the round to reach each discovery (id-order first claimant,
-// matching the arbitration rule).
+// matching the arbitration rule). The frontier is block-split over the
+// workers, as the kernel splits it with its stealing off, which is how the
+// locality sweep runs it; a level below the kernel's grain runs on worker
+// 0 alone (bfs.OneWorkerLevel), as in the kernel.
 func (lm *lineModel) pushRound(L uint32, bitmap bool) {
 	b := lm.b
 	offsets, targets := b.g.Offsets(), b.g.Targets()
 	f := b.byLevel[L]
+	solo := bfs.OneWorkerLevel(uint64(len(f)), b.degLevel[L])
 	lm.claimEpoch++
 	for w := 0; w < b.p; w++ {
 		lm.epoch++
 		lo, hi := sched.BlockRange(len(f), b.p, w)
+		if solo {
+			// Worker 0 takes the whole level; every other share is empty.
+			lo, hi = 0, 0
+			if w == 0 {
+				hi = len(f)
+			}
+		}
 		for i := lo; i < hi; i++ {
 			u := f[i]
 			for j := offsets[u]; j < offsets[u+1]; j++ {

@@ -190,7 +190,10 @@ func (b *bfsModel) sweep(bal graph.Balance) WorkModel {
 
 // frontierRound fills shard with the per-worker cost of relaxing frontier f
 // under the balance policy: 1 + deg(u) per frontier vertex, split by vertex
-// count or by the degree prefix (mirroring the kernel's push level).
+// count or by the degree prefix (mirroring the kernel's push level, with
+// its stealing off, as the edge-balance sweep runs it). A level the vertex
+// split would share but whose work is below the kernel's grain runs on
+// worker 0 alone (bfs.OneWorkerLevel), as in the kernel.
 func (b *bfsModel) frontierRound(f []uint32, bal graph.Balance) {
 	for w := range b.shard {
 		b.shard[w] = 0
@@ -212,6 +215,7 @@ func (b *bfsModel) frontierRound(f []uint32, bal graph.Balance) {
 		}
 		return
 	}
+	var total uint64 // nf + m_f
 	for w := 0; w < b.p; w++ {
 		lo, hi := sched.BlockRange(nf, b.p, w)
 		var work uint64
@@ -219,6 +223,11 @@ func (b *bfsModel) frontierRound(f []uint32, bal graph.Balance) {
 			work += 1 + uint64(b.g.Degree(f[i]))
 		}
 		b.shard[w] = work
+		total += work
+	}
+	if bfs.OneWorkerLevel(uint64(nf), total-uint64(nf)) {
+		clear(b.shard)
+		b.shard[0] = total
 	}
 }
 

@@ -87,6 +87,11 @@ func (a *Array) ResetRange(lo, hi int) {
 	}
 }
 
+// Reset returns every cell to the never-written state: ResetRange over
+// the whole array, which is what a machine's round-id rewind applies to
+// the arrays declared with Machine.Stamp.
+func (a *Array) Reset() { a.ResetRange(0, a.n) }
+
 // GateArray is a fixed-size array of gatekeeper words, the
 // `unsigned gatekeeper[N]` of the paper's Figure 3(b).
 type GateArray struct {

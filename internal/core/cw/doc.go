@@ -21,8 +21,11 @@
 // Every other competitor — and, crucially, every thread arriving after a
 // winner exists — fails the cheap load pre-check and never executes an atomic
 // instruction at all. Advancing to the next round requires no
-// re-initialization: callers simply use a larger round id, which in loop-based
-// kernels is the loop counter and therefore free.
+// re-initialization: callers simply use a larger round id, the paper's loop
+// counter, and therefore free. Here the ids come from one source, the
+// machine's round counter (machine.Machine.NextRound and exec.Ctx.NextRound),
+// which rewinds them, resetting the arrays declared with Machine.Stamp,
+// before the 32-bit stamps could wrap.
 //
 // For comparison the package also provides the two prior-practice mechanisms
 // evaluated by the paper:

@@ -88,10 +88,11 @@ type Ctx interface {
 	// One flag exists per Run; kernels needing more declare driver-side
 	// Flag values before entering the region.
 	Flag() *Flag
-	// NextRound returns the next region-local round id (1, 2, 3, ...).
-	// The counter is worker-local and advances identically in every SPMD
-	// copy, so all workers agree on the id without synchronization.
-	// Kernels add their machine-lifetime base offset themselves.
+	// NextRound returns the next CAS-LT round id from the machine's round
+	// counter, which the run continues, so ids are unique for the
+	// machine's lifetime under both backends and are rewound only as a run
+	// opens. Each SPMD copy advances its own copy of the counter
+	// identically, so all workers agree on the id without synchronization.
 	NextRound() uint32
 	// Metrics returns the machine's live-metrics recorder, or nil when
 	// metrics are off. Under trace the replay records claims and rounds on
@@ -110,7 +111,9 @@ var _ Ctx = (*machine.TeamCtx)(nil)
 
 // Run executes body under the backend selected by e: team (one
 // persistent parallel region) or trace (serial counting replay). It
-// returns the trace statistics for ExecTrace and nil otherwise.
+// returns the trace statistics for ExecTrace and nil otherwise. Either way
+// the run continues the machine's round ids, rewound first if due
+// (Machine.OpenRounds).
 func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 	if m.Closed() {
 		panic("exec: use after Close")
@@ -124,13 +127,17 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 		_, task := rtrace.NewTask(context.Background(), "pram/"+e.String())
 		defer task.End()
 	}
+	start := m.OpenRounds()
 	switch e {
 	case machine.ExecTrace:
 		// The replay ignores a machine's chaos injector: a serial replay has
-		// no schedule to perturb.
-		st := &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}
-		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: new(Flag), rec: m.Metrics(), stats: st})
-		return st
+		// no schedule to perturb. It hands its last round id back to the
+		// machine even if body panics.
+		c := &traceCtx{p: m.P(), chunk: m.Chunk(), flag: new(Flag), rec: m.Metrics(), round: start,
+			stats: &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}}
+		defer func() { m.CloseRounds(c.round) }()
+		body(c)
+		return c.stats
 	default:
 		m.Team(func(tc *machine.TeamCtx) { body(tc) })
 		return nil

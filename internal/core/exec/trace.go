@@ -27,8 +27,9 @@ type TraceStats struct {
 	// Iters is the per-logical-worker iteration count over all loops
 	// (elements of the worker's shares, for Range/Bounds).
 	Iters []uint64
-	// Rounds is the number of region-local round ids consumed via
-	// NextRound.
+	// Rounds is the number of round ids the kernel drew with NextRound:
+	// one per round of its round loop (a BFS level, a hook phase), whether
+	// or not the round claims anything.
 	Rounds uint32
 }
 
@@ -66,7 +67,7 @@ type traceCtx struct {
 	flag  *Flag
 	rec   *metrics.Recorder
 	stats *TraceStats
-	round uint32
+	round uint32 // the replay's copy of the machine's round counter
 }
 
 func (c *traceCtx) P() int      { return c.p }
@@ -165,11 +166,12 @@ func (c *traceCtx) Single(f func()) {
 
 func (c *traceCtx) Flag() *Flag { return c.flag }
 
-// NextRound credits the round to the machine's recorder, as the team
-// backend's coordinator does.
+// NextRound advances the replay's copy of the machine's round counter and
+// credits the round to the machine's recorder, as the team backend's
+// coordinator does.
 func (c *traceCtx) NextRound() uint32 {
 	c.round++
-	c.stats.Rounds = c.round
+	c.stats.Rounds++
 	c.rec.AddRounds(1)
 	return c.round
 }

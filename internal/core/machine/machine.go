@@ -7,8 +7,9 @@
 // are recovered on an asynchronous shared-memory machine by (1) work-sharing
 // each round's virtual processors over the physical workers and (2) placing
 // a synchronization barrier between a round and anything that depends on it.
-// Machine provides exactly that, and an internal monotone round counter
-// supplies the round ids consumed by the cw package's CAS-LT cells.
+// Machine provides exactly that, and its round counter is the one source
+// of the round ids consumed by the cw package's CAS-LT cells (see
+// NextRound and Stamp).
 //
 // The workers are persistent: they are started once and parked on a
 // reusable barrier between regions, mirroring an OpenMP parallel region with
@@ -101,9 +102,10 @@ type Machine struct {
 	// end-phase wait (see settle).
 	settled atomic.Int32
 
-	exec   Exec
-	round  uint32
-	closed bool
+	exec    Exec
+	round   uint32    // the last round id handed out
+	stamped []Stamped // the arrays a rewind resets (Stamp)
+	closed  bool
 	// exited counts the helper goroutines still running; Close waits on it.
 	exited sync.WaitGroup
 }
@@ -277,20 +279,57 @@ func (m *Machine) nextSeq() uint32 {
 // off.
 func (m *Machine) Snapshot() metrics.Snapshot { return m.rec.Snapshot() }
 
-// Round returns the current round id. Round ids start at 0 and advance by
-// NextRound (or by kernels using their own loop counters).
+// roundRewind is the round-id threshold: once the counter has reached it,
+// the next run to open or caller-side NextRound rewinds the ids. A run
+// opened below it can draw 2^31 ids before its CAS-LT stamps could wrap.
+const roundRewind = 1 << 31
+
+// Stamped is state whose cells carry the machine's round ids as CAS-LT
+// stamps (a cw.Array, Cell or Slot); Reset makes every cell never-written.
+type Stamped interface{ Reset() }
+
+// Stamp declares a as claimed with this machine's round ids, so that a
+// rewind resets it: the restarted ids would lose every claim to an older
+// stamp. Kernels declare each CAS-LT array once, at construction; the
+// machine keeps them until Close.
+func (m *Machine) Stamp(a Stamped) { m.stamped = append(m.stamped, a) }
+
+// Round returns the last round id handed out, 0 before the first.
 func (m *Machine) Round() uint32 { return m.round }
 
 // NextRound advances the machine's round counter and returns the new id,
-// which is always >= 1 and therefore valid for cw.Cell claims.
+// which is always >= 1 and therefore valid for cw.Cell claims. Once the
+// counter has reached the threshold it rewinds first, so an id the caller
+// holds stays valid until the next NextRound.
 func (m *Machine) NextRound() uint32 {
+	m.rewind()
 	m.round++
 	return m.round
 }
 
-// ResetRound rewinds the round counter to 0, for reusing a machine across
-// independent kernel executions whose cw arrays have been Reset.
-func (m *Machine) ResetRound() { m.round = 0 }
+// OpenRounds rewinds the round ids if due and returns the last id handed
+// out, which a kernel run continues. exec.Run calls it as every run opens,
+// so no rewind falls inside a run; a team region keeps its highest id as
+// it closes, and a serial replay hands its last id to CloseRounds.
+func (m *Machine) OpenRounds() uint32 {
+	m.rewind()
+	return m.round
+}
+
+// CloseRounds keeps last, the last id a serial replay drew, as the counter.
+func (m *Machine) CloseRounds(last uint32) { m.round = max(m.round, last) }
+
+// rewind resets every declared array and restarts the ids at 1 once the
+// counter has reached roundRewind.
+func (m *Machine) rewind() {
+	if m.round < roundRewind {
+		return
+	}
+	for _, a := range m.stamped {
+		a.Reset()
+	}
+	m.round = 0
+}
 
 // Close shuts the helpers down and returns once every helper goroutine
 // has exited. The machine must not be used after Close; a second Close is
@@ -300,6 +339,7 @@ func (m *Machine) Close() {
 		return
 	}
 	m.closed = true
+	m.stamped = nil
 	if m.bar != nil {
 		m.step = stepDesc{quit: true}
 		m.bar.Wait(0) // start phase: release the helpers into the quit branch

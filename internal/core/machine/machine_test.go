@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"crcwpram/internal/barrier"
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/sched"
 )
 
@@ -104,9 +106,42 @@ func TestRoundCounter(t *testing.T) {
 	if r := m.NextRound(); r != 2 {
 		t.Fatalf("second NextRound() = %d, want 2", r)
 	}
-	m.ResetRound()
-	if m.Round() != 0 {
-		t.Fatal("ResetRound did not rewind")
+}
+
+// TestNextRoundRewinds claims a declared array the way the quickstart
+// does — NextRound, then a ParallelFor of TryClaims — across the rewind:
+// from MaxUint32, where an unguarded counter wraps to the id 0 that no
+// claim is ever granted, NextRound must rewind, resetting the array, and
+// hand out an id >= 1, and every cell must keep exactly one winner in
+// every round.
+func TestNextRoundRewinds(t *testing.T) {
+	const n, writers = 64, 8
+	m := New(4)
+	defer m.Close()
+	cells := cw.NewArray(n, cw.Packed)
+	m.Stamp(cells)
+	for i, start := range []uint32{roundRewind - 1, math.MaxUint32, 0} {
+		if i != 2 {
+			m.round = start
+		}
+		round := m.NextRound()
+		if round == 0 {
+			t.Fatalf("step %d: NextRound() = 0, an id no claim is granted", i)
+		}
+		var wins [n]atomic.Int32
+		m.ParallelFor(n*writers, func(j int) {
+			if cells.TryClaim(j%n, round) {
+				wins[j%n].Add(1)
+			}
+		})
+		for c := range wins {
+			if w := wins[c].Load(); w != 1 {
+				t.Fatalf("step %d, round %d: cell %d has %d winners, want 1", i, round, c, w)
+			}
+		}
+	}
+	if r := m.Round(); r != 2 {
+		t.Fatalf("Round() = %d after the rewind and one more round, want 2", r)
 	}
 }
 

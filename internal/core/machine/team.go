@@ -109,8 +109,8 @@ type TeamCtx struct {
 	// region-local round ids event-trace spans carry. Like epoch it
 	// advances identically in every SPMD copy.
 	loops uint32
-	// round is this worker's copy of the region round counter NextRound
-	// advances; like loops it agrees across the SPMD copies.
+	// round is this worker's copy of the machine's round counter, which
+	// NextRound advances; like loops it agrees across the SPMD copies.
 	round uint32
 	// The machine keeps one TeamCtx per worker in a slice; pad each to its
 	// own cache lines so the per-loop counter updates never false-share.
@@ -296,10 +296,12 @@ func (tc *TeamCtx) Single(f func()) {
 // region shares and Team clears when the region opens.
 func (tc *TeamCtx) Flag() *Flag { return &tc.m.flag }
 
-// NextRound advances this worker's copy of the region round counter and
-// returns it (1, 2, 3, ...). All workers execute the same round sequence
-// (SPMD discipline), so their counters agree without synchronization. The
-// coordinator credits each advance to the metrics recorder.
+// NextRound advances this worker's copy of the machine's round counter and
+// returns the new id. All workers execute the same round sequence (SPMD
+// discipline), so their copies agree without synchronization; Team keeps
+// the highest as the region closes, and never rewinds it (exec.Run does,
+// as a run opens). The coordinator credits each advance to the metrics
+// recorder.
 func (tc *TeamCtx) NextRound() uint32 {
 	tc.round++
 	if tc.coordinates() {
@@ -484,6 +486,11 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 	}
 	m.work(m.step, 0)
 	m.endPhase(m.step, 0)
+	// Keep the highest round id any copy drew. The copies agree unless the
+	// region aborted.
+	for w := range m.tcs {
+		m.round = max(m.round, m.tcs[w].round)
+	}
 	if m.teamAborted.Load() {
 		// The team barrier was abandoned mid-phase; replace it.
 		m.teamBar = newTeamBarrier(m.p)
@@ -506,7 +513,7 @@ func (m *Machine) runRegion(st stepDesc, id int) {
 		}
 	}()
 	tc := &m.tcs[id]
-	tc.epoch, tc.loops, tc.round = 0, 0, 0
+	tc.epoch, tc.loops, tc.round = 0, 0, m.round
 	st.region(tc)
 }
 

@@ -14,6 +14,7 @@ func Example_arbitraryWrite() {
 	defer m.Close()
 
 	var cell pram.Cell
+	m.Stamp(&cell) // claimed with m's round ids
 	value := 0
 
 	round := m.NextRound()
@@ -50,6 +51,7 @@ func Example_structPayload() {
 	defer m.Close()
 
 	var best pram.Slot[match]
+	m.Stamp(&best)
 	round := m.NextRound()
 	m.ParallelFor(10, func(i int) {
 		// All writers offer self-consistent structs; one commits whole.

@@ -17,6 +17,7 @@
 //	m := pram.NewMachine(8)
 //	defer m.Close()
 //	cells := pram.NewCellArray(n, pram.Packed)
+//	m.Stamp(cells)         // claimed with m's round ids
 //	round := m.NextRound()
 //	m.ParallelFor(n, func(i int) {
 //		target := ...          // index this virtual processor writes

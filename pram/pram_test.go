@@ -16,6 +16,7 @@ func TestQuickstartPattern(t *testing.T) {
 	defer m.Close()
 
 	cells := pram.NewCellArray(n, pram.Packed)
+	m.Stamp(cells)
 	data := make([]uint32, n)
 	writes := make([]atomic.Int32, n)
 
