@@ -9,12 +9,21 @@
 // ablated over its synchronization substrate:
 //
 //   - Central: a mutex + condition variable counter barrier. Simple, one
-//     cache line of state, O(P) serialized updates per phase.
+//     cache line of state, O(P) serialized updates per phase; early
+//     arrivals sleep at once.
 //   - SenseReversing: a single atomic counter plus a phase "sense" flag
-//     that flips each phase, with spin-then-yield waiting. The standard
-//     high-performance choice on small core counts.
+//     that flips each phase. The standard high-performance choice on small
+//     core counts.
 //   - Tree: a static arrival tree of sense-reversing nodes with fan-in 4,
 //     reducing contention to O(log P) per-line traffic on large parties.
+//
+// Sense and Tree waiters follow the package's one wait policy (Lot): spin
+// on plain loads, then yield, then park once the wait has lasted about a
+// millisecond. The spin phase is short unless Lot.Calibrate finds that
+// every party can hold a P of its own. It is OpenMP's
+// OMP_WAIT_POLICY/GOMP_SPINCOUNT split: active within a kernel, asleep
+// when idle. A Lot can serve a barrier and other waits at once, which is
+// how the machine routes every wait inside a region through one lot.
 //
 // All barriers implement the Barrier interface and are reusable: Wait may be
 // called any number of phases in a row by exactly the fixed party size.
@@ -72,7 +81,8 @@ func ParseKind(s string) (Kind, bool) {
 }
 
 // New returns a barrier of the given kind for the given party size.
-// parties must be >= 1.
+// parties must be >= 1. Sense and Tree waiters wait through a Lot of
+// their own, at the short spin budget.
 func New(k Kind, parties int) Barrier {
 	if parties < 1 {
 		panic("barrier: parties must be >= 1")
@@ -81,9 +91,9 @@ func New(k Kind, parties int) Barrier {
 	case KindCentral:
 		return NewCentral(parties)
 	case KindSense:
-		return NewSense(parties)
+		return NewSense(parties, NewLot())
 	case KindTree:
-		return NewTree(parties)
+		return NewTree(parties, NewLot())
 	default:
 		panic("barrier: unknown kind " + k.String())
 	}

@@ -1,6 +1,8 @@
 package barrier
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,4 +211,71 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// parked counts the goroutines asleep on a condition variable inside this
+// package: the waiters of a Central barrier and the waiters that reached
+// the park phase of the wait policy.
+func parked() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "crcwpram/internal/barrier.(*") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLatePartyFindsPeersParked runs the park and wake path in every
+// phase: one party, a different one each phase, arrives only once the
+// others have slept past the wait policy's spin and yield phases and
+// parked, and the barrier invariant must still hold.
+func TestLatePartyFindsPeersParked(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k Kind) {
+		const parties = 3
+		const phases = 2 * parties
+		b := New(k, parties)
+		counts := make([]atomic.Int32, phases)
+		var violated, unparked atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(parties)
+		for w := 0; w < parties; w++ {
+			go func() {
+				defer wg.Done()
+				for p := 0; p < phases; p++ {
+					counts[p].Add(1)
+					if p%parties == w {
+						deadline := time.Now().Add(10 * time.Second)
+						for parked() < parties-1 {
+							if time.Now().After(deadline) {
+								unparked.Store(true)
+								break
+							}
+							time.Sleep(time.Millisecond)
+						}
+					}
+					b.Wait(w)
+					if counts[p].Load() != parties {
+						violated.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if violated.Load() {
+			t.Fatalf("%v: a worker passed the barrier before all arrived", k)
+		}
+		if unparked.Load() {
+			t.Fatalf("%v: the early parties never parked while the late one waited", k)
+		}
+	})
 }

@@ -6,9 +6,11 @@ import "sync"
 // and a condition variable on which early arrivals sleep. The last arrival
 // of each phase advances the generation and broadcasts.
 //
-// Central is the most portable and the friendliest to oversubscription
-// (sleeping waiters consume no CPU), at the cost of O(P) serialized lock
-// acquisitions per phase.
+// Central is the most portable construction. Its early arrivals sleep at
+// once, with no spin or yield phase, so a wait costs no CPU but every phase
+// pays a wake-up; Sense and Tree waiters sleep too, but only once the wait
+// policy's spin and yield phases have run out (see Lot). Every phase also
+// pays O(P) serialized lock acquisitions.
 type Central struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

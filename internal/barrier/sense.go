@@ -1,16 +1,6 @@
 package barrier
 
-import (
-	"runtime"
-	"sync/atomic"
-)
-
-// spinsBeforeYield bounds busy-waiting before a waiter starts yielding its
-// thread to the scheduler. Pure spinning is fastest when every party has a
-// dedicated core (the paper sets OMP_WAIT_POLICY=active for exactly this
-// reason); yielding keeps the barrier live-lock free when goroutines
-// outnumber cores, which is the common case for this library's tests.
-const spinsBeforeYield = 128
+import "sync/atomic"
 
 // Sense is a sense-reversing barrier: one shared atomic arrival counter and
 // a global sense word that flips each phase. Instead of goroutine-local
@@ -19,18 +9,21 @@ const spinsBeforeYield = 128
 // sound because a party reads the sense word before decrementing the arrival
 // counter, and the flip can only happen after every party of the phase has
 // decremented — so all parties of a phase agree on the release sense.
+// Early arrivals wait for the flip through the barrier's Lot.
 type Sense struct {
 	parties int32
 	count   atomic.Int32  // arrivals remaining in the current phase
 	sense   atomic.Uint32 // flips 0/1 each phase
+	lot     *Lot
 }
 
-// NewSense returns a sense-reversing barrier for the given party size.
-func NewSense(parties int) *Sense {
+// NewSense returns a sense-reversing barrier for the given party size whose
+// waiters wait through lot.
+func NewSense(parties int, lot *Lot) *Sense {
 	if parties < 1 {
 		panic("barrier: parties must be >= 1")
 	}
-	b := &Sense{parties: int32(parties)}
+	b := &Sense{parties: int32(parties), lot: lot}
 	b.count.Store(int32(parties))
 	return b
 }
@@ -40,7 +33,13 @@ func (b *Sense) Parties() int { return int(b.parties) }
 
 // Wait blocks until all parties of the current phase have arrived. The
 // worker id is ignored.
-func (b *Sense) Wait(worker int) {
+func (b *Sense) Wait(worker int) { b.Await(nil) }
+
+// Await is Wait for a party that may give up: it returns false, before the
+// phase completes, once abort is set (whoever sets it then wakes the lot).
+// A party that gives up has still arrived, so an abandoned phase leaves the
+// arrival count short; Reset restores it once every party has left.
+func (b *Sense) Await(abort *atomic.Bool) bool {
 	local := b.sense.Load() ^ 1 // the sense value that ends this phase
 	if b.count.Add(-1) == 0 {
 		// Last arrival: reset the count for the next phase, then flip the
@@ -48,11 +47,12 @@ func (b *Sense) Wait(worker int) {
 		// ready before anyone leaves.
 		b.count.Store(b.parties)
 		b.sense.Store(local)
-		return
+		b.lot.Wake()
+		return true
 	}
-	for spins := 0; b.sense.Load() != local; spins++ {
-		if spins > spinsBeforeYield {
-			runtime.Gosched()
-		}
-	}
+	return b.lot.Await(&b.sense, local, abort)
 }
+
+// Reset restores the arrival count after an abandoned phase. No party may
+// be inside the barrier.
+func (b *Sense) Reset() { b.count.Store(b.parties) }

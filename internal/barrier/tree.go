@@ -1,9 +1,6 @@
 package barrier
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // treeFanIn is the arrival-tree radix. Fan-in 4 is the classic compromise:
 // contention per node stays low while the tree stays shallow.
@@ -28,20 +25,23 @@ const CachePad = 40
 //
 // Unlike Central and Sense, Tree assigns each worker a fixed leaf slot, so
 // the worker id passed to Wait selects the arrival leaf and must be the
-// caller's stable id in [0, Parties()).
+// caller's stable id in [0, Parties()). Early arrivals wait for the flip
+// through the barrier's Lot.
 type Tree struct {
 	parties int
 	leaves  []*treeNode // leaf node per worker id
 	root    *treeNode
 	sense   atomic.Uint32 // global release sense
+	lot     *Lot
 }
 
-// NewTree returns a tree barrier for the given party size.
-func NewTree(parties int) *Tree {
+// NewTree returns a tree barrier for the given party size whose waiters
+// wait through lot.
+func NewTree(parties int, lot *Lot) *Tree {
 	if parties < 1 {
 		panic("barrier: parties must be >= 1")
 	}
-	b := &Tree{parties: parties}
+	b := &Tree{parties: parties, lot: lot}
 
 	// Build the bottom level: one node per fan-in group of workers.
 	level := make([]*treeNode, 0, (parties+treeFanIn-1)/treeFanIn)
@@ -83,11 +83,7 @@ func (b *Tree) Parties() int { return b.parties }
 func (b *Tree) Wait(worker int) {
 	local := b.sense.Load() ^ 1
 	b.arrive(b.leaves[worker])
-	for spins := 0; b.sense.Load() != local; spins++ {
-		if spins > spinsBeforeYield {
-			runtime.Gosched()
-		}
-	}
+	b.lot.Await(&b.sense, local, nil)
 }
 
 func (b *Tree) arrive(n *treeNode) {
@@ -102,4 +98,5 @@ func (b *Tree) arrive(n *treeNode) {
 		return
 	}
 	b.sense.Store(b.sense.Load() ^ 1)
+	b.lot.Wake()
 }

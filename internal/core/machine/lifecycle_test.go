@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 
 	"crcwpram/internal/core/chaos"
 	"crcwpram/internal/core/exec"
@@ -48,32 +49,90 @@ func wantUseAfterClose(t *testing.T, what string, f func()) {
 	f()
 }
 
+// helpers returns the ids of the machine helpers' goroutines — the ones
+// New starts, each running (*Machine).helper — mapped to whether the
+// helper is parked on a condition variable. A helper that has not run yet
+// shows only its creator, so that is what identifies it.
+func helpers() map[string]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by crcwpram/internal/core/machine.New in ") {
+			ids[strings.Fields(g)[1]] = strings.Contains(g, "sync.(*Cond).Wait")
+		}
+	}
+	return ids
+}
+
 // TestCloseJoinsWorkers pins the lifecycle contract: Close returns only
-// after every worker goroutine has exited — the goroutine count is back
-// to its value before New with no polling — a second Close is a no-op,
-// and every entry point refuses a closed machine.
+// after every helper goroutine of the machine has exited — none is left
+// right after Close, with no polling, whether the helpers were spinning or
+// had parked — a second Close is a no-op, and every entry point refuses a
+// closed machine. It counts the machine's own helpers, told apart from
+// other goroutines by their ids, so a goroutine of an earlier test that
+// exits meanwhile cannot move the count.
 func TestCloseJoinsWorkers(t *testing.T) {
 	// On one P a goroutine's exit runs to completion before the scheduler
-	// switches to the goroutine its last act woke, so the count read right
-	// after Close is exact. With several Ps a worker that has already
-	// signalled Close can still be retiring on another P when Close's
-	// caller resumes.
+	// switches to the goroutine its last act woke, so the helpers read
+	// right after Close are exact. With several Ps a helper that has
+	// already signalled Close can still be retiring on another P when
+	// Close's caller resumes.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, p := range []int{1, 2, 4} {
 		for _, lo := range lifecycleOptions {
-			g0 := runtime.NumGoroutine()
-			m := machine.New(p, lo.opts(p)...)
-			m.ParallelFor(100, func(int) {})
-			m.Team(func(tc *machine.TeamCtx) { tc.For(100, func(int) {}) })
-			m.Close()
-			if g := runtime.NumGoroutine(); g != g0 {
-				t.Errorf("p=%d %s: %d goroutines right after Close, %d before New", p, lo.name, g, g0)
-			}
-			m.Close() // double Close is a no-op
-			wantUseAfterClose(t, "ParallelFor", func() { m.ParallelFor(1, func(int) {}) })
-			wantUseAfterClose(t, "Team", func() { m.Team(func(*machine.TeamCtx) {}) })
-			for _, e := range []machine.Exec{machine.ExecTeam, machine.ExecTrace} {
-				wantUseAfterClose(t, "exec.Run "+e.String(), func() { exec.Run(m, e, func(exec.Ctx) {}) })
+			for _, idle := range []bool{false, true} {
+				name := fmt.Sprintf("p=%d %s idle=%v", p, lo.name, idle)
+				before := helpers()
+				m := machine.New(p, lo.opts(p)...)
+				var own []string
+				for id := range helpers() {
+					if _, old := before[id]; !old {
+						own = append(own, id)
+					}
+				}
+				if len(own) != p-1 {
+					t.Errorf("%s: New started %d helpers, want %d", name, len(own), p-1)
+				}
+				m.ParallelFor(100, func(int) {})
+				m.Team(func(tc *machine.TeamCtx) { tc.For(100, func(int) {}) })
+				// Idle: wait until every helper has spun, yielded and
+				// parked at the region barrier's start phase.
+				for deadline := time.Now().Add(10 * time.Second); idle; time.Sleep(time.Millisecond) {
+					hs, n := helpers(), 0
+					for _, id := range own {
+						if hs[id] {
+							n++
+						}
+					}
+					if n == len(own) {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Errorf("%s: %d of %d helpers parked after 10s idle", name, n, len(own))
+						break
+					}
+				}
+				m.Close()
+				hs := helpers()
+				for _, id := range own {
+					if _, alive := hs[id]; alive {
+						t.Errorf("%s: helper goroutine %s alive right after Close", name, id)
+					}
+				}
+				m.Close() // double Close is a no-op
+				wantUseAfterClose(t, "ParallelFor", func() { m.ParallelFor(1, func(int) {}) })
+				wantUseAfterClose(t, "Team", func() { m.Team(func(*machine.TeamCtx) {}) })
+				for _, e := range []machine.Exec{machine.ExecTeam, machine.ExecTrace} {
+					wantUseAfterClose(t, "exec.Run "+e.String(), func() { exec.Run(m, e, func(exec.Ctx) {}) })
+				}
 			}
 		}
 	}

@@ -11,24 +11,27 @@
 // of the round ids consumed by the cw package's CAS-LT cells (see
 // NextRound and Stamp).
 //
-// The workers are persistent: they are started once and parked on a
-// reusable barrier between regions, mirroring an OpenMP parallel region with
-// an active wait policy (the configuration the paper measures). As in
-// OpenMP, the goroutine that opens a region is worker 0 of its team: New
-// starts P-1 helper goroutines (workers 1..P-1), and the caller runs worker
-// 0's share of every region between the region barrier's start and end
-// phases. Every piece of parallel work runs as a team region (team.go): Team
-// runs a whole kernel inside one region — the exact shape of the paper's
-// OpenMP listings, at one team barrier per round — and ParallelFor/
-// ParallelRange/ParallelBounds/ParallelSteal are one-loop regions whose
-// closing barrier is the region's end phase. A one-worker machine starts no
-// goroutine at all: the caller is the whole team.
+// The workers are persistent: they are started once and wait on a reusable
+// barrier between regions, as OpenMP's threads do between parallel regions.
+// Every wait of the workers follows the barrier package's one wait policy,
+// OpenMP's OMP_WAIT_POLICY/GOMP_SPINCOUNT split: a wait spins, then
+// yields, then parks once it has lasted about a millisecond, so the rounds
+// of a kernel see the active wait the paper measures and an idle machine
+// costs no CPU. As in OpenMP, the goroutine that opens a region is worker
+// 0 of its team: New starts P-1 helper goroutines (workers 1..P-1), and
+// the caller runs worker 0's share of every region between the region
+// barrier's start and end phases. Every piece of parallel work runs as a
+// team region (team.go): Team runs a whole kernel inside one region — the
+// exact shape of the paper's OpenMP listings, at one team barrier per
+// round — and ParallelFor/ParallelRange/ParallelBounds/ParallelSteal are
+// one-loop regions whose closing barrier is the region's end phase. A
+// one-worker machine starts no goroutine at all: the caller is the whole
+// team.
 package machine
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -50,6 +53,13 @@ type Machine struct {
 	policy  sched.Policy
 	chunk   int
 	barKind barrier.Kind
+	// lot is the wait policy of the waits inside a region: the round
+	// barrier, the loop-reset wait and the settle step. Team calibrates it
+	// as each kernel region opens, and a panicking worker wakes it. The
+	// region barrier waits through a lot of its own at the short spin
+	// budget, since its start phase spans the caller's serial code between
+	// regions, however long that is.
+	lot *barrier.Lot
 	// bar is the P-party barrier whose start and end phases bracket every
 	// region: the caller arrives as party 0 and helper w as party w. nil
 	// on a one-worker machine.
@@ -61,15 +71,16 @@ type Machine struct {
 	step stepDesc
 
 	// Team-region state (team.go): one padded context per worker, the
-	// worker-only barrier, the one pre-allocated cursor shared by all
-	// dynamic/guided team loops, the ticket/ready words of its per-loop
-	// reset protocol, the abort flag a panicking team body raises, and the
-	// convergence flag every region shares, cleared as the region opens.
+	// barrier of the rounds inside a region, the one pre-allocated cursor
+	// shared by all dynamic/guided team loops, the ticket/ready words of
+	// its per-loop reset protocol, the abort flag a panicking team body
+	// raises, and the convergence flag every region shares, cleared as the
+	// region opens.
 	tcs         []TeamCtx
-	teamBar     *teamBarrier
+	rounds      *barrier.Sense
 	teamCur     *sched.Cursor
-	teamTicket  atomic.Uint64
-	teamReady   atomic.Uint64
+	teamTicket  atomic.Uint32
+	teamReady   atomic.Uint32
 	teamAborted atomic.Bool
 	flag        Flag
 
@@ -100,7 +111,7 @@ type Machine struct {
 
 	// settled counts the helpers that have recorded a metrics region's
 	// end-phase wait (see settle).
-	settled atomic.Int32
+	settled atomic.Uint32
 
 	exec    Exec
 	round   uint32    // the last round id handed out
@@ -216,7 +227,8 @@ func New(p int, opts ...Option) *Machine {
 	for w := range m.tcs {
 		m.tcs[w] = TeamCtx{m: m, W: w}
 	}
-	m.teamBar = newTeamBarrier(p)
+	m.lot = barrier.NewLot()
+	m.rounds = barrier.NewSense(p, m.lot)
 	m.teamCur = sched.NewCursor(m.policy, 0, p, m.chunk)
 	m.steal = sched.NewStealer(p)
 	m.step.panics = make([]any, p)
@@ -358,7 +370,7 @@ func (m *Machine) Close() {
 // concurrent invocation on distinct i.
 func (m *Machine) ParallelFor(n int, body func(i int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.forShare(n, body) })
+		m.region(func(tc *TeamCtx) { tc.forShare(n, body) }, false)
 	}
 }
 
@@ -366,7 +378,7 @@ func (m *Machine) ParallelFor(n int, body func(i int)) {
 // [0, P())) passed to the body, for per-worker accumulators.
 func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.forShare(n, func(i int) { body(i, tc.W) }) })
+		m.region(func(tc *TeamCtx) { tc.forShare(n, func(i int) { body(i, tc.W) }) }, false)
 	}
 }
 
@@ -380,7 +392,7 @@ func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 // ParallelBounds. Implicit barrier on return, like every Parallel* round.
 func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.stealShare(n, body) })
+		m.region(func(tc *TeamCtx) { tc.stealShare(n, body) }, false)
 	}
 }
 
@@ -390,7 +402,7 @@ func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 // and for per-worker reductions. The partitioning policy is always Block.
 func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
 	if n > 0 {
-		m.Team(func(tc *TeamCtx) { tc.rangeShare(n, body) })
+		m.region(func(tc *TeamCtx) { tc.rangeShare(n, body) }, false)
 	}
 }
 
@@ -406,7 +418,7 @@ func (m *Machine) ParallelBounds(bounds []int, body func(lo, hi, w int)) {
 		panic(fmt.Sprintf("machine: ParallelBounds: %d bounds for %d workers", len(bounds), m.p))
 	}
 	if bounds[m.p] > bounds[0] {
-		m.Team(func(tc *TeamCtx) { tc.boundsShare(bounds, body) })
+		m.region(func(tc *TeamCtx) { tc.boundsShare(bounds, body) }, false)
 	}
 }
 
@@ -507,12 +519,9 @@ func (m *Machine) endPhase(st stepDesc, id int) {
 func (m *Machine) settle(id int) {
 	if id != 0 {
 		m.settled.Add(1)
+		m.lot.Wake()
 		return
 	}
-	for spins := 0; m.settled.Load() < int32(m.p-1); spins++ {
-		if spins > teamSpins {
-			runtime.Gosched()
-		}
-	}
+	m.lot.Await(&m.settled, uint32(m.p-1), nil)
 	m.settled.Store(0)
 }

@@ -26,7 +26,6 @@
 package machine
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -35,54 +34,10 @@ import (
 	"crcwpram/internal/sched"
 )
 
-// teamSpins bounds busy-waiting in team-internal spin loops before
-// yielding, mirroring the barrier package's spin-then-yield policy.
-const teamSpins = 128
-
 // teamAbort is the sentinel panic a worker raises to bail out of a team
 // body after another worker's panic poisoned the region. It is recovered
 // by the team driver and never recorded as a user panic.
 type teamAbort struct{}
-
-// teamBarrier is the sense-reversing barrier of the rounds inside a region,
-// with the P workers as parties. Unlike barrier.Sense it is abortable: when
-// a worker panics inside a team body it can never arrive, so waiters poll
-// the machine's abort flag and bail out instead of deadlocking. After an
-// aborted region the internal state is mid-phase garbage; the driver
-// replaces the barrier wholesale.
-type teamBarrier struct {
-	parties int32
-	count   atomic.Int32
-	sense   atomic.Uint32
-}
-
-func newTeamBarrier(parties int) *teamBarrier {
-	b := &teamBarrier{parties: int32(parties)}
-	b.count.Store(int32(parties))
-	return b
-}
-
-// wait blocks until all workers arrive, returning false if the team was
-// aborted while waiting.
-func (b *teamBarrier) wait(abort *atomic.Bool) bool {
-	local := b.sense.Load() ^ 1
-	if b.count.Add(-1) == 0 {
-		b.count.Store(b.parties)
-		b.sense.Store(local)
-		return true
-	}
-	for spins := 0; b.sense.Load() != local; spins++ {
-		if spins > teamSpins {
-			// Abort is the cold path: check it only once spinning has
-			// clearly stalled, keeping the hot release loop load-only.
-			if abort.Load() {
-				return false
-			}
-			runtime.Gosched()
-		}
-	}
-	return true
-}
 
 // TeamCtx is one worker's view of a team region, and the team backend's
 // exec.Ctx. It is valid only inside the body passed to Machine.Team and
@@ -104,7 +59,7 @@ type TeamCtx struct {
 	// epoch counts this worker's dynamic/guided/stealing work-shared
 	// loops, keying the shared loop-state reset protocol. All workers
 	// execute the same loop sequence, so their epochs agree.
-	epoch uint64
+	epoch uint32
 	// loops counts this worker's work-shared loops of every policy — the
 	// region-local round ids event-trace spans carry. Like epoch it
 	// advances identically in every SPMD copy.
@@ -114,7 +69,7 @@ type TeamCtx struct {
 	round uint32
 	// The machine keeps one TeamCtx per worker in a slice; pad each to its
 	// own cache lines so the per-loop counter updates never false-share.
-	_ [128 - 4*8]byte
+	_ [128 - 2*8 - 3*4]byte
 }
 
 // beginLoop advances the worker's loop counter and opens the loop's
@@ -179,7 +134,7 @@ func (tc *TeamCtx) barrier() {
 	if tc.m.rec != nil {
 		a := tc.m.evt.Worker(tc.W).Begin(evtrace.KindBarrier, tc.loops)
 		t0 := time.Now()
-		ok := tc.m.teamBar.wait(&tc.m.teamAborted)
+		ok := tc.m.rounds.Await(&tc.m.teamAborted)
 		tc.m.rec.Shard(tc.W).AddBarrierWait(time.Since(t0))
 		a.End()
 		if !ok {
@@ -187,7 +142,7 @@ func (tc *TeamCtx) barrier() {
 		}
 		return
 	}
-	if !tc.m.teamBar.wait(&tc.m.teamAborted) {
+	if !tc.m.rounds.Await(&tc.m.teamAborted) {
 		panic(teamAbort{})
 	}
 }
@@ -387,12 +342,15 @@ func (tc *TeamCtx) drainSteal(n int, body func(lo, hi int)) {
 // stealer for a fresh loop — on exactly one worker per loop instance, and
 // returns on every worker only once it is visible. The winner takes the
 // loop's ticket (a CAS from epoch-1 to epoch) and publishes through the
-// ready word; the rest spin until the ready word reaches their epoch.
-// Cursor and stealing loops share the one epoch sequence: every worker
-// executes the same loop sequence, so the ticket words stay consistent
-// however the two kinds interleave. All claims of the previous loop
-// happened before its closing barrier, which every worker passed before
-// entering this loop, so the reset can never race a stale claim.
+// ready word; the rest wait, through the machine's lot, until the ready
+// word holds their epoch. It cannot move past it first: the next loop's
+// winner has passed this loop's closing barrier, which every worker
+// reaches only after leaving this wait. Cursor and stealing loops share
+// the one epoch sequence: every worker executes the same loop sequence,
+// so the ticket words stay consistent however the two kinds interleave.
+// All claims of the previous loop happened before its closing barrier,
+// which every worker passed before entering this loop, so the reset can
+// never race a stale claim.
 func (tc *TeamCtx) resetLoop(reset func()) {
 	m := tc.m
 	tc.epoch++
@@ -400,15 +358,11 @@ func (tc *TeamCtx) resetLoop(reset func()) {
 	if m.teamTicket.CompareAndSwap(e-1, e) {
 		reset()
 		m.teamReady.Store(e)
+		m.lot.Wake()
 		return
 	}
-	for spins := 0; m.teamReady.Load() < e; spins++ {
-		if spins > teamSpins {
-			if m.teamAborted.Load() {
-				panic(teamAbort{})
-			}
-			runtime.Gosched()
-		}
+	if !m.lot.Await(&m.teamReady, e, &m.teamAborted) {
+		panic(teamAbort{})
 	}
 }
 
@@ -470,7 +424,19 @@ func (f *Flag) clear() {
 // If a worker's body panics, the region is aborted: the remaining workers
 // bail at their next team synchronization point, the panic is re-raised on
 // the caller, and the machine remains usable.
-func (m *Machine) Team(body func(tc *TeamCtx)) {
+//
+// Team calibrates the wait policy of the region's rounds as the region
+// opens (see barrier.Lot.Calibrate). The one-loop regions of ParallelFor
+// and its siblings have no rounds and keep the last calibration for their
+// loop-reset waits, so that a pass of many of them does not take the
+// runtime lock GOMAXPROCS needs each time: when the team oversubscribes
+// the CPUs that lock is contended, and reading it cost about 6% of an
+// empty one-loop region at P=4 on two CPUs.
+func (m *Machine) Team(body func(tc *TeamCtx)) { m.region(body, true) }
+
+// region opens a team region for body, first calibrating the wait policy
+// if calibrate is set.
+func (m *Machine) region(body func(tc *TeamCtx), calibrate bool) {
 	if m.closed {
 		panic("machine: use after Close")
 	}
@@ -482,6 +448,9 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 	m.flag.clear()
 	m.step = stepDesc{region: body, seq: m.nextSeq(), panics: m.step.panics}
 	if m.bar != nil {
+		if calibrate {
+			m.lot.Calibrate(m.p)
+		}
 		m.bar.Wait(0) // start phase: the helpers pick up the region body
 	}
 	m.work(m.step, 0)
@@ -492,8 +461,8 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 		m.round = max(m.round, m.tcs[w].round)
 	}
 	if m.teamAborted.Load() {
-		// The team barrier was abandoned mid-phase; replace it.
-		m.teamBar = newTeamBarrier(m.p)
+		// The round barrier was abandoned mid-phase.
+		m.rounds.Reset()
 		m.teamAborted.Store(false)
 	}
 	m.reraise()
@@ -501,14 +470,16 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 
 // runRegion executes worker id's copy of the region body on its reset
 // context, capturing panics so a failing body cannot deadlock the
-// machine: a user panic is recorded and poisons the region (peers bail at
-// their next barrier with a teamAbort, which is swallowed here).
+// machine: a user panic is recorded and poisons the region, waking the
+// peers parked in a round barrier or loop reset (peers bail at their next
+// barrier with a teamAbort, which is swallowed here).
 func (m *Machine) runRegion(st stepDesc, id int) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			if _, bail := pv.(teamAbort); !bail {
 				st.panics[id] = pv
 				m.teamAborted.Store(true)
+				m.lot.Wake()
 			}
 		}
 	}()

@@ -2,8 +2,10 @@ package machine
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"crcwpram/internal/sched"
@@ -182,6 +184,104 @@ func TestTeamBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
 	})
 	if total.Load() != 20*64 {
 		t.Fatalf("team broken after panic: %d visits, want %d", total.Load(), 20*64)
+	}
+}
+
+// parkedIn counts the goroutines asleep on the machine's lot inside the
+// given frame, e.g. "(*TeamCtx).barrier".
+func parkedIn(frame string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, frame) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTeamAbortWakesParkedPeers is the abort path once the wait policy has
+// parked the peers: the panicking worker first waits until the other
+// three have slept past the spin and yield phases and parked — at the
+// round barrier, or, on a dynamic machine, in the loop reset whose ticket
+// the panicking worker holds — and only then panics. The abort must wake
+// them, the panic must surface once on the caller, and the machine must
+// stay usable.
+func TestTeamAbortWakesParkedPeers(t *testing.T) {
+	const p = 4
+	for _, c := range []struct {
+		policy sched.Policy
+		frame  string
+	}{
+		{sched.Block, "(*TeamCtx).barrier"},
+		{sched.Dynamic, "(*TeamCtx).barrier"},
+		{sched.Dynamic, "(*TeamCtx).resetLoop"},
+	} {
+		name := c.policy.String() + " " + c.frame
+		m := New(p, WithPolicy(c.policy))
+		boom := func() {
+			deadline := time.Now().Add(10 * time.Second)
+			for parkedIn(c.frame) < p-1 {
+				if time.Now().After(deadline) {
+					t.Errorf("%s: the peers never parked", name)
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			panic("team boom")
+		}
+		panics := 0
+		func() {
+			defer func() {
+				if pv := recover(); pv != nil {
+					panics++
+					if pv != "team boom" {
+						t.Errorf("%s: recovered %v, want team boom", name, pv)
+					}
+				}
+			}()
+			won := make(chan struct{})
+			m.Team(func(tc *TeamCtx) {
+				tc.For(100, func(int) {})
+				if c.frame == "(*TeamCtx).resetLoop" {
+					// Worker 1 takes the next loop's ticket and never
+					// publishes its reset; the peers enter that loop only
+					// once it holds the ticket.
+					if tc.W == 1 {
+						tc.resetLoop(func() {
+							close(won)
+							boom()
+						})
+					}
+					<-won
+				} else if tc.W == 1 {
+					boom()
+				}
+				tc.For(100, func(int) {})
+			})
+		}()
+		if panics != 1 {
+			t.Errorf("%s: the panic surfaced %d times, want once", name, panics)
+		}
+		var total atomic.Int64
+		m.ParallelFor(50, func(int) { total.Add(1) })
+		m.Team(func(tc *TeamCtx) {
+			for r := 0; r < 20; r++ {
+				tc.For(64, func(int) { total.Add(1) })
+			}
+		})
+		if total.Load() != 50+20*64 {
+			t.Errorf("%s: machine broken after the abort: %d visits, want %d", name, total.Load(), 50+20*64)
+		}
+		m.Close()
 	}
 }
 
